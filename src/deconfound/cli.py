@@ -8,8 +8,9 @@ deconfound   fit, then write fitted/residual series and the excluded-frequency r
 experiment   run an experiment spec (JSON) and write result CSVs
 check-basis  verify discrete orthonormality of a basis matrix
 
-Exit codes: 0 success, 2 usage or input-format error, 3 fit did not converge,
-4 combinatorially infeasible request.
+Exit codes: 0 success, 1 ``check-basis`` found the basis not orthonormal within
+``--tol``, 2 usage or input-format error, 3 fit did not converge, 4 combinatorially
+infeasible request.
 
 Data CSV format: header ``t,x_1,...,x_d,y`` (the ``t`` column is optional on
 input; row order defines the sample grid), comma separated, decimal points,
@@ -38,6 +39,7 @@ from .pipeline import SCHEMA_VERSION, DecorConfig, Method, decor_fit
 from .sim import BandLimitedProcess, OUProcess, SimConfig, generate
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_INFEASIBLE = 4
@@ -241,7 +243,7 @@ def cmd_check_basis(args) -> int:
         f"orthonormality {status}: kind={args.kind} n={args.n} "
         f"max deviation {result.max_deviation:.3e} (tol {args.tol:g})"
     )
-    return EXIT_OK if result.ok else 1
+    return EXIT_OK if result.ok else EXIT_CHECK_FAILED
 
 
 def cmd_experiment(args) -> int:

@@ -11,6 +11,7 @@ derived.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,9 +37,9 @@ class DecorConfig:
 
     ``a`` is the robust threshold: the number of frequencies treated as
     unconfounded, given as an absolute count or as a fraction of n (converted
-    as ``ceil(a * n)``).  For the exhaustive method it is the candidate-set
-    size.  Defaults follow the benchmark setup: cosine basis, iterative hard
-    thresholding, a = 0.7.
+    as ``ceil(a * n)``); a value <= 0, NaN or a bool is rejected here.  For
+    the exhaustive method it is the candidate-set size.  Defaults follow the
+    benchmark setup: cosine basis, iterative hard thresholding, a = 0.7.
     """
 
     basis_kind: BasisKind = BasisKind.COSINE
@@ -50,8 +51,14 @@ class DecorConfig:
     def __post_init__(self):
         object.__setattr__(self, "basis_kind", BasisKind(self.basis_kind))
         object.__setattr__(self, "method", Method(self.method))
-        if isinstance(self.a, float) and not 0 < self.a <= 1 and not self.a.is_integer():
-            raise ValueError(f"a must be a fraction in (0,1] or a count, got {self.a}")
+        a = self.a
+        if (
+            isinstance(a, bool)
+            or not isinstance(a, numbers.Real)
+            or not a > 0
+            or (isinstance(a, float) and a > 1 and not a.is_integer())
+        ):
+            raise ValueError(f"a must be a fraction in (0,1] or a positive count, got {a!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.bfs_cap < 1:

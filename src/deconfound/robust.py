@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +24,8 @@ import numpy as np
 from .errors import FeasibilityError
 
 SUBSET_ENUMERATION_CAP = 10_000_000
+_CHUNK_SETS = 4096  # candidate sets fitted per batch; bounds the working memory
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,13 @@ def _subset_to_indices(subset: Sequence[int] | np.ndarray, n: int) -> np.ndarray
     return idx - 1
 
 
+def _fit_result(problem, beta, inliers, method, iterations=0, converged=True):
+    """A ``RobustFit`` with the residual norm of ``beta`` on the 1-based ``inliers``."""
+    rows = inliers - 1
+    residual_norm = float(np.linalg.norm(problem.y[rows] - problem.x[rows] @ beta))
+    return RobustFit(beta, inliers, iterations, residual_norm, converged, method)
+
+
 def _lstsq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # rcond=None zeroes singular values below max(n, d) * eps * sigma_max,
     # which is exactly the rank rule we promise; the solution is the
@@ -131,12 +142,12 @@ def resolve_count(a: float | int, n: int) -> int:
 
     An integral value is taken as an absolute count in ``1..n``; a float in
     (0, 1) is a fraction, converted as ``ceil(a * n)``.  ``1.0`` means all
-    rows.
+    rows.  ``a`` is taken exactly as the decimal it prints as: 0.55 of 100 is 55.
     """
     if isinstance(a, (int, np.integer)) or (isinstance(a, float) and a.is_integer() and a > 1):
         count = int(a)
     elif 0 < a <= 1:
-        count = math.ceil(a * n) if a < 1 else n
+        count = math.ceil(Fraction(repr(float(a))) * n) if a < 1 else n
     else:
         raise ValueError(f"threshold must be a count in 1..{n} or a fraction in (0,1], got {a}")
     if not 1 <= count <= n:
@@ -190,22 +201,25 @@ def torrent(
             converged = True
             break
         r_prev = r_new
-    rows = active - 1
-    residual_norm = float(np.linalg.norm(y[rows] - x[rows] @ beta))
-    return RobustFit(
-        beta=beta,
-        inliers=active,
-        iterations=iterations,
-        residual_norm=residual_norm,
-        converged=converged,
-        method="Torrent",
-    )
+    return _fit_result(problem, beta, active, "Torrent", iterations, converged)
+
+
+def _all_combinations(n: int, size: int) -> np.ndarray:
+    flat = chain.from_iterable(combinations(range(1, n + 1), size))
+    sets = np.fromiter(flat, np.intp, math.comb(n, size) * size).reshape(-1, size)
+    sets.setflags(write=False)
+    return sets
+
+
+_small_combinations = lru_cache(maxsize=16)(_all_combinations)
 
 
 def candidate_sets_all_of_size(
     n: int, size: int, cap: int = SUBSET_ENUMERATION_CAP
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """All subsets of {1, ..., n} of the given size, in lexicographic order.
+
+    Returns a read-only ``(C(n, size), size)`` integer array, one set per row.
 
     Raises
     ------
@@ -221,23 +235,40 @@ def candidate_sets_all_of_size(
             f"C({n},{size}) = {count} candidate sets exceeds the cap of {cap}; "
             "use torrent instead of exhaustive search"
         )
-    return list(combinations(range(1, n + 1), size))
+    # building the array costs more than fitting it, so repeated requests are
+    # memoised, but only up to 1 MiB: a cap-sized enumeration never stays resident
+    small = count * size * np.dtype(np.intp).itemsize <= 1 << 20
+    return (_small_combinations if small else _all_combinations)(n, size)
 
 
-def _bfs_vectorized_1d(
-    x: np.ndarray, y: np.ndarray, sets: np.ndarray
-) -> tuple[int, np.ndarray, float]:
-    """Single-covariate fast path: evaluate every candidate set in one batch."""
-    xs = x[sets, 0]
-    ys = y[sets]
-    sxx = np.einsum("ij,ij->i", xs, xs)
-    sxy = np.einsum("ij,ij->i", xs, ys)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(sxx > 0, sxy / np.where(sxx > 0, sxx, 1.0), 0.0)
-    resid = ys - xs * beta[:, None]
-    errs = np.mean(resid * resid, axis=1)
-    best = int(np.argmin(errs))
-    return best, np.array([beta[best]]), float(errs[best])
+def _singular(lam: np.ndarray, s: int, d: int) -> np.ndarray:
+    """Stacks whose Gram rounding, about max(s, d) * eps * lam_max, reaches lam_min.
+
+    This flags a superset of the sets ``_lstsq`` calls rank deficient.
+    """
+    return lam[:, -1] * max(s, d) * _EPS >= lam[:, 0]
+
+
+def _subset_errors(x: np.ndarray, y: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Mean squared residual of the least-squares fit on each row set of ``sets``.
+
+    ``sets`` is a (C, s) array of 0-based rows, fitted ``_CHUNK_SETS`` at a time.
+    """
+    s, d = sets.shape[1], x.shape[1]
+    errs = []
+    for start in range(0, len(sets), _CHUNK_SETS):
+        rows = sets[start : start + _CHUNK_SETS]
+        xs, ys = x[rows], y[rows]
+        lam, vec = np.linalg.eigh(np.swapaxes(xs, 1, 2) @ xs)
+        singular = _singular(lam, s, d)
+        lam[singular] = 1.0  # refitted by _lstsq below
+        proj = np.einsum("cji,cj->ci", vec, np.einsum("csi,cs->ci", xs, ys)) / lam
+        coef = np.einsum("cij,cj->ci", vec, proj)
+        for k in np.flatnonzero(singular):
+            coef[k] = _lstsq(xs[k], ys[k])
+        resid = ys - np.einsum("csi,ci->cs", xs, coef)
+        errs.append(np.einsum("cs,cs->c", resid, resid) / s)
+    return np.concatenate(errs)
 
 
 def bfs(
@@ -246,46 +277,35 @@ def bfs(
 ) -> RobustFit:
     """Exhaustive search: fit each candidate inlier set, keep the best.
 
-    Each candidate set S is scored by the per-row mean squared residual of its
-    own least-squares fit, ``err(S) = |S|^-1 ||y_S - X_S beta_S||^2``; the
-    first set attaining the strictly smallest error wins, so the result is
-    deterministic in the iteration order of ``candidate_sets``.
+    ``candidate_sets`` is a (C, s) array of 1-based rows, as
+    ``candidate_sets_all_of_size`` returns, or any iterable of row sequences.
+    Each set S scores ``err(S) = |S|^-1 ||y_S - X_S beta_S||^2`` for its own
+    least-squares fit.  Errors within ``16 * eps * ||y||^2 / n`` of the smallest
+    tie, and the first tied set in iteration order wins, so rounding cannot pick
+    among exact fits.  ``beta`` is the least-squares fit on the winner, as
+    ``ols`` gives it.
     """
-    sets = [np.asarray(s, dtype=int).ravel() for s in candidate_sets]
-    if not sets:
+    if isinstance(candidate_sets, np.ndarray) and candidate_sets.ndim == 2:
+        listed = np.asarray(candidate_sets, dtype=np.intp)
+        groups = [(slice(None), listed)]
+    else:  # ragged input: one kernel call per set size
+        listed = [np.asarray(s, dtype=np.intp).ravel() for s in candidate_sets]
+        sizes = np.array([s.size for s in listed])
+        wheres = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
+        groups = [(w, np.array([listed[i] for i in w])) for w in wheres]
+    if len(listed) == 0:
         raise ValueError("candidate_sets must be non-empty")
-    n = problem.n
-    for s in sets:
-        if s.size == 0:
-            raise ValueError("candidate sets must be non-empty")
-        if s.min() < 1 or s.max() > n:
-            raise ValueError(f"candidate set indices must lie in 1..{n}")
-    x, y = problem.x, problem.y
-
-    uniform = len({s.size for s in sets}) == 1
-    if uniform and problem.d == 1:
-        idx = np.vstack(sets) - 1
-        best, beta, _ = _bfs_vectorized_1d(x, y, idx)
-    else:
-        best, beta, best_err = -1, np.zeros(problem.d), np.inf
-        for i, s in enumerate(sets):
-            rows = s - 1
-            b = _lstsq(x[rows], y[rows])
-            r = y[rows] - x[rows] @ b
-            err = float(r @ r / rows.size)
-            if err < best_err:
-                best, beta, best_err = i, b, err
-    winner = np.sort(sets[best])
-    rows = winner - 1
-    residual_norm = float(np.linalg.norm(y[rows] - x[rows] @ beta))
-    return RobustFit(
-        beta=beta,
-        inliers=winner,
-        iterations=0,
-        residual_norm=residual_norm,
-        converged=True,
-        method="BFS",
-    )
+    n, x, y = problem.n, problem.x, problem.y
+    if any(sets.shape[1] == 0 for _, sets in groups):
+        raise ValueError("candidate sets must be non-empty")
+    if any(sets.min() < 1 or sets.max() > n for _, sets in groups):
+        raise ValueError(f"candidate set indices must lie in 1..{n}")
+    errs = np.empty(len(listed))
+    for where, sets in groups:
+        errs[where] = _subset_errors(x, y, sets - 1)
+    tau = 16 * _EPS * float(y @ y) / n
+    winner = np.sort(listed[int(np.argmax(errs <= errs.min() + tau))])
+    return _fit_result(problem, _lstsq(x[winner - 1], y[winner - 1]), winner, "BFS")
 
 
 def eta_condition(
@@ -315,20 +335,23 @@ def eta_condition(
     inl = np.unique(np.asarray(inliers, dtype=int).ravel())
     if inl.size and (inl.min() < 1 or inl.max() > n):
         raise ValueError(f"inlier indices must lie in 1..{n}")
+    is_inlier = np.zeros(n, dtype=bool)
+    is_inlier[inl - 1] = True
+    # ||X_V||_2^2 is the top eigenvalue of the sum of x_k x_k^T over k in V
     x = problem.x
+    outer = np.einsum("ki,kj->kij", x, x).reshape(n, d * d)
+    subsets = combinations(range(n), a_count)  # 0-based, streamed _CHUNK_SETS at a time
     worst = 0.0
-    for subset in combinations(range(1, n + 1), a_count):
-        s = np.asarray(subset, dtype=int)
-        xs = x[s - 1]
-        gram = xs.T @ xs
-        eigs = np.linalg.eigvalsh(gram)
-        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
-        if lam_max <= 0.0 or lam_min <= lam_max * max(a_count, d) * np.finfo(float).eps:
+    while True:
+        flat = chain.from_iterable(islice(subsets, _CHUNK_SETS))
+        rows = np.fromiter(flat, np.intp).reshape(-1, a_count)
+        if not len(rows):
+            return worst
+        xs = x[rows]
+        lam = np.linalg.eigvalsh(np.swapaxes(xs, 1, 2) @ xs)
+        if _singular(lam, a_count, d).any():
             return float("inf")
-        v = np.setxor1d(s, inl)
-        if v.size == 0:
-            ratio = 0.0
-        else:
-            ratio = float(np.linalg.norm(x[v - 1], 2) / math.sqrt(lam_min))
-        worst = max(worst, ratio)
-    return worst
+        in_v = np.tile(is_inlier, (len(rows), 1))
+        np.put_along_axis(in_v, rows, ~is_inlier[rows], axis=1)
+        top = np.linalg.eigvalsh((in_v @ outer).reshape(-1, d, d))[:, -1]
+        worst = max(worst, float(np.sqrt(np.maximum(top, 0.0) / lam[:, 0]).max()))

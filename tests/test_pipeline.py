@@ -155,6 +155,17 @@ class TestDecorFit:
         assert not est.converged
 
 
+class TestDecorConfig:
+    @pytest.mark.parametrize("a", [-3, 0, 0.0, -3.0, -0.5, float("nan"), True, False, 2.5, "0.7"])
+    def test_bad_threshold_rejected_at_construction(self, a):
+        with pytest.raises(ValueError, match="^a must be"):
+            DecorConfig(a=a)
+
+    @pytest.mark.parametrize("a", [1, 5, 0.7, 1.0, 12.0, np.int64(5), np.float64(0.3)])
+    def test_valid_threshold_accepted(self, a):
+        assert DecorConfig(a=a).a == a
+
+
 class TestDeconfound:
     def test_same_estimate_as_fit(self):
         cfg = SimConfig(n=32, sigma_eta2=1.0, seed=40)

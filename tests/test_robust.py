@@ -1,11 +1,14 @@
 """Robust regression: least squares, hard thresholding, torrent, exhaustive search."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from deconfound import robust
 from deconfound import (
     FeasibilityError,
     RegressionProblem,
@@ -24,18 +27,29 @@ def normal_equations_ols(x, y):
     return np.linalg.solve(x.T @ x, x.T @ y)
 
 
-def exhaustive_bfs_oracle(x, y, size):
-    """Independent exhaustive loop, returning (best_set, best_beta)."""
-    n = len(y)
-    best_err, best_set, best_beta = np.inf, None, None
-    for s in combinations(range(n), size):
-        rows = list(s)
+def first_within_tie_tolerance(errs, y):
+    """The documented BFS tie rule: the first error within 16 eps ||y||^2 / n of the minimum."""
+    errs = np.asarray(errs)
+    tau = 16 * np.finfo(float).eps * float(y @ y) / len(y)
+    return int(np.flatnonzero(errs <= errs.min() + tau)[0])
+
+
+def listed_bfs_oracle(x, y, sets):
+    """Independent per-set lstsq loop over 1-based sets, returning (best_set, best_beta)."""
+    betas, errs = [], []
+    for s in sets:
+        rows = np.asarray(s) - 1
         beta, *_ = np.linalg.lstsq(x[rows], y[rows], rcond=None)
         resid = y[rows] - x[rows] @ beta
-        err = float(resid @ resid) / len(rows)
-        if err < best_err:
-            best_err, best_set, best_beta = err, s, beta
-    return np.asarray(best_set) + 1, best_beta
+        betas.append(beta)
+        errs.append(float(resid @ resid) / len(rows))
+    best = first_within_tie_tolerance(errs, y)
+    return np.sort(np.asarray(sets[best])), betas[best]
+
+
+def exhaustive_bfs_oracle(x, y, size):
+    """Independent exhaustive loop, returning (best_set, best_beta)."""
+    return listed_bfs_oracle(x, y, list(combinations(range(1, len(y) + 1), size)))
 
 
 def planted_instance(rng, n=20, d=1, n_out=5, magnitude=10.0):
@@ -118,6 +132,18 @@ class TestResolveCount:
 
     def test_int_passthrough(self):
         assert resolve_count(5, 9) == 5
+
+    def test_fraction_uses_the_printed_decimal(self):
+        assert resolve_count(0.55, 100) == 55  # 0.55 * 100 is 55.00000000000001 in floats
+
+    def test_two_decimal_fractions_are_exact(self):
+        drifted = [
+            (k, n)
+            for k in range(1, 100)
+            for n in range(1, 1025)
+            if resolve_count(k / 100, n) != math.ceil(Fraction(k, 100) * n)
+        ]
+        assert drifted == []
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -277,9 +303,97 @@ class TestBfs:
             bfs(p, [()])
 
 
+class TestBfsKernel:
+    """The batched kernel against the per-set lstsq loop it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_per_set_lstsq_on_noisy_instances(self, d):
+        for seed in range(6):
+            rng = np.random.default_rng(600 + 10 * d + seed)
+            p, _, _ = planted_instance(rng, n=11, d=d, n_out=3, magnitude=5.0)
+            p = RegressionProblem(p.x, p.y + 0.3 * rng.normal(size=11))
+            fit = bfs(p, candidate_sets_all_of_size(11, 7))
+            oracle_set, oracle_beta = exhaustive_bfs_oracle(p.x, p.y, 7)
+            assert list(fit.inliers) == list(oracle_set)
+            assert np.max(np.abs(fit.beta - oracle_beta)) < 1e-10
+
+    @staticmethod
+    def _exact_fit_instance(d):
+        # rows 2 and 7 are outliers; every 6 of the other 8 rows fit exactly
+        rng = np.random.default_rng(700 + d)
+        x = rng.normal(size=(10, d))
+        y = x @ rng.normal(size=d)
+        y[[1, 6]] += 9.0
+        return RegressionProblem(x, y)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_first_exact_fit_wins(self, d):
+        fit = bfs(self._exact_fit_instance(d), candidate_sets_all_of_size(10, 6))
+        assert list(fit.inliers) == [1, 3, 4, 5, 6, 8]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_chunking_does_not_change_the_fit(self, d, monkeypatch):
+        p = self._exact_fit_instance(d)
+        sets = candidate_sets_all_of_size(10, 6)
+        exact = [i for i, s in enumerate(sets.tolist()) if not {2, 7} & set(s)]
+        assert len({i // 7 for i in exact}) > 1  # the tie spans several chunks of 7
+        whole = bfs(p, sets)
+        monkeypatch.setattr(robust, "_CHUNK_SETS", 7)
+        chunked = bfs(p, sets)
+        assert list(chunked.inliers) == list(whole.inliers) == [1, 3, 4, 5, 6, 8]
+        assert np.array_equal(chunked.beta, whole.beta)
+
+    def test_ragged_candidates(self):
+        rng = np.random.default_rng(710)
+        p, _, _ = planted_instance(rng, n=9, d=2, n_out=2, magnitude=6.0)
+        p = RegressionProblem(p.x, p.y + 0.2 * rng.normal(size=9))
+        sets = [c for size in (7, 5, 6) for c in combinations(range(1, 10), size)]
+        sets = sets[::-1]
+        fit = bfs(p, iter(sets))
+        oracle_set, oracle_beta = listed_bfs_oracle(p.x, p.y, sets)
+        assert list(fit.inliers) == list(oracle_set)
+        assert np.max(np.abs(fit.beta - oracle_beta)) < 1e-10
+
+    def test_zero_column_gives_minimum_norm_fit(self):
+        rng = np.random.default_rng(720)
+        x = rng.normal(size=(8, 2))
+        x[:5, 1] = 0.0  # every set inside rows 1..5 has a zero column
+        y = rng.normal(size=8)
+        single = bfs(RegressionProblem(x, y), [(1, 2, 3, 4)])
+        assert np.array_equal(single.beta, ols(RegressionProblem(x, y), [1, 2, 3, 4]))
+        assert single.beta[1] == 0.0
+        # the same rank-deficient sets fit exactly and must win in a full search
+        y[:5] = 2.0 * x[:5, 0]
+        p = RegressionProblem(x, y)
+        sets = candidate_sets_all_of_size(8, 4)
+        fit = bfs(p, sets)
+        oracle_set, oracle_beta = listed_bfs_oracle(x, y, sets)
+        assert list(fit.inliers) == list(oracle_set) == [1, 2, 3, 4]
+        assert np.max(np.abs(fit.beta - oracle_beta)) < 1e-10
+        assert np.max(np.abs(fit.beta - [2.0, 0.0])) < 1e-12
+
+    def test_validation_errors(self):
+        p = RegressionProblem(np.ones((3, 1)), np.ones(3))
+        for bad in ([(1, 4)], np.array([[0, 1]]), [(1,), (2, 3, 4)]):
+            with pytest.raises(ValueError, match="lie in 1..3"):
+                bfs(p, bad)
+        with pytest.raises(ValueError, match="candidate_sets must be non-empty"):
+            bfs(p, np.empty((0, 2), dtype=int))
+        with pytest.raises(ValueError, match="candidate sets must be non-empty"):
+            bfs(p, [(1,), ()])
+
+
 class TestCandidateSets:
+    def test_readonly_lexicographic_array(self):
+        for n, size in ((7, 3), (18, 9), (5, 5)):  # (18, 9) is too large to memoise
+            sets = candidate_sets_all_of_size(n, size)
+            assert not sets.flags.writeable
+            assert sets.tolist() == [list(c) for c in combinations(range(1, n + 1), size)]
+        assert candidate_sets_all_of_size(7, 3) is candidate_sets_all_of_size(7, 3)
+        assert candidate_sets_all_of_size(18, 9) is not candidate_sets_all_of_size(18, 9)
+
     def test_three_choose_two(self):
-        assert candidate_sets_all_of_size(3, 2) == [(1, 2), (1, 3), (2, 3)]
+        assert candidate_sets_all_of_size(3, 2).tolist() == [[1, 2], [1, 3], [2, 3]]
 
     def test_sixteen_choose_eleven_count(self):
         assert len(candidate_sets_all_of_size(16, 11)) == 4368
@@ -289,7 +403,67 @@ class TestCandidateSets:
             candidate_sets_all_of_size(30, 15)
 
 
+def eta_condition_loop_reference(p, a, inliers):
+    """The per-subset loop that eta_condition replaced, kept as the reference."""
+    n, d = p.n, p.d
+    a_count = resolve_count(a, n)
+    inl = np.unique(np.asarray(inliers, dtype=int).ravel())
+    x = p.x
+    worst = 0.0
+    for subset in combinations(range(1, n + 1), a_count):
+        s = np.asarray(subset, dtype=int)
+        xs = x[s - 1]
+        eigs = np.linalg.eigvalsh(xs.T @ xs)
+        lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+        if lam_max <= 0.0 or lam_min <= lam_max * max(a_count, d) * np.finfo(float).eps:
+            return float("inf")
+        v = np.setxor1d(s, inl)
+        if v.size == 0:
+            ratio = 0.0
+        else:
+            ratio = float(np.linalg.norm(x[v - 1], 2) / math.sqrt(lam_min))
+        worst = max(worst, ratio)
+    return worst
+
+
 class TestEtaCondition:
+    @pytest.mark.parametrize("chunk", [None, 5, 7])
+    def test_matches_loop_reference(self, chunk, monkeypatch):
+        if chunk:
+            monkeypatch.setattr(robust, "_CHUNK_SETS", chunk)
+        for seed in range(12):
+            rng = np.random.default_rng(800 + seed)
+            n, d = 9, 1 + seed % 3
+            p = RegressionProblem(rng.normal(size=(n, d)), rng.normal(size=n))
+            a = 4 + seed % 4
+            inliers = np.sort(rng.choice(np.arange(1, n + 1), size=6, replace=False))
+            got, ref = eta_condition(p, a, inliers), eta_condition_loop_reference(p, a, inliers)
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_subsets_are_streamed_not_stored(self, monkeypatch):
+        # peak memory stays far below one (C(n, a), a) array of the subsets
+        monkeypatch.setattr(robust, "_CHUNK_SETS", 64)
+        rng = np.random.default_rng(13)
+        n, a = 18, 9
+        p = RegressionProblem(rng.normal(size=(n, 2)), rng.normal(size=n))
+        tracemalloc.start()
+        try:
+            value = eta_condition(p, a, np.arange(1, 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value < float("inf")
+        assert peak < math.comb(n, a) * a * np.dtype(np.intp).itemsize / 10
+
+    def test_infinite_cases_match_loop_reference(self):
+        col = np.arange(1.0, 9.0)
+        partly_zero = np.column_stack([col, np.r_[np.zeros(4), col[4:]]])
+        for x in (np.column_stack([col, 2.0 * col]), partly_zero, np.zeros((8, 1))):
+            p = RegressionProblem(x, np.ones(8))
+            for a in (3, 4):
+                assert eta_condition(p, a, [1, 2, 3]) == float("inf")
+                assert eta_condition_loop_reference(p, a, [1, 2, 3]) == float("inf")
+
     def test_no_outliers_full_set_is_zero(self):
         rng = np.random.default_rng(10)
         n = 6
