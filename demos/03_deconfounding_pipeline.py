@@ -9,18 +9,18 @@ of the response.
 
 import numpy as np
 
-from deconfound import DecorConfig, Method, SimConfig, deconfound, generate
+from deconfound import DecorConfig, Method, SimConfig, decor_fit, generate
 
 cfg = SimConfig(n=256, sigma_eta2=1.0, conf_prob=0.25, seed=7)
 x, y, truth = generate(cfg)
 print(f"instance: n={cfg.n}, true beta={truth.beta[0]:.1f}, "
       f"{truth.g_set.size} confounded frequencies")
 
-baseline = deconfound(x, y, DecorConfig(method=Method.OLS_BASELINE))
+baseline = decor_fit(x, y, DecorConfig(method=Method.OLS_BASELINE))
 print(f"\nplain least squares:  beta = {baseline.beta[0]:.4f} "
       f"(error {abs(baseline.beta[0] - 3):.4f})  <- biased by the confounder")
 
-est = deconfound(x, y, DecorConfig())  # cosine basis, torrent, a = 0.7
+est = decor_fit(x, y, DecorConfig())  # cosine basis, torrent, a = 0.7
 print(f"robust pipeline:      beta = {est.beta[0]:.4f} "
       f"(error {abs(est.beta[0] - 3):.4f}), {est.iterations} iterations")
 

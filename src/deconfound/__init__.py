@@ -29,7 +29,7 @@ from .bench import (
     run_experiment,
 )
 from .errors import ConfigurationError, FeasibilityError
-from .pipeline import DecorConfig, DecorEstimate, Method, decor_fit, deconfound
+from .pipeline import DecorConfig, DecorEstimate, Method, decor_fit
 from .robust import (
     RegressionProblem,
     RobustFit,
@@ -76,7 +76,6 @@ __all__ = [
     "DecorEstimate",
     "Method",
     "decor_fit",
-    "deconfound",
     "OUProcess",
     "BandLimitedProcess",
     "SimConfig",

@@ -124,8 +124,11 @@ def _processes_from_flags(process: str):
 
 
 def _parse_threshold(text: str):
-    value = float(text)
-    return int(value) if value > 1 and value.is_integer() else value
+    """``--a`` as ``decor_fit`` takes it: "1" is the count 1, "1.0" the fraction 1.0 (all rows)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -400,7 +403,8 @@ def _add_common_fit_flags(p):
         "--a",
         type=_parse_threshold,
         default=0.7,
-        help="inlier threshold: fraction in (0,1] or absolute count (default 0.7)",
+        help="inlier threshold: an integer is a count of rows (1 keeps one), any other "
+        "number a fraction in (0,1] (1.0 keeps all) (default 0.7)",
     )
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--bfs-cap", type=int, default=10_000_000)

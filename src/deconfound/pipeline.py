@@ -13,12 +13,11 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import robust
-from .basis import BasisKind, BasisMatrix, build_basis, inverse_transform, transform
+from .basis import BasisKind, build_basis, inverse_transform, transform
 
 SCHEMA_VERSION = "1"
 
@@ -102,11 +101,6 @@ class DecorEstimate:
         }
 
 
-@lru_cache(maxsize=64)
-def _cached_basis(kind: BasisKind, n: int, horizon: float) -> BasisMatrix:
-    return build_basis(kind, n, horizon)
-
-
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     """Coefficient of determination with centered sums of squares."""
     sst = float(np.sum((y - y.mean()) ** 2))
@@ -148,9 +142,9 @@ def decor_fit(
     if n < d:
         raise ValueError(f"need at least as many samples as covariates ({n} < {d})")
 
-    basis = _cached_basis(BasisKind(config.basis_kind), n, horizon)
-    x_freq = transform(x, basis)
-    y_freq = transform(y, basis)
+    basis = build_basis(config.basis_kind, n, horizon)
+    xy_freq = transform(np.column_stack([x, y]), basis)
+    x_freq, y_freq = xy_freq[:, :d], xy_freq[:, d]
     problem = robust.RegressionProblem(x_freq, y_freq)
 
     method = Method(config.method)
@@ -189,19 +183,3 @@ def decor_fit(
         converged=fit.converged,
         method=method,
     )
-
-
-def deconfound(
-    x: np.ndarray,
-    y: np.ndarray,
-    config: DecorConfig = DecorConfig(),
-    horizon: float = 1.0,
-) -> DecorEstimate:
-    """Full deconfounding workflow: fit, then report the cleaned decomposition.
-
-    The fitted values are the response component attributable to the
-    unconfounded part of x (the estimated confounded frequencies are removed
-    from x before applying the coefficient), and the residuals y - fitted
-    estimate the confounder-driven component plus noise.
-    """
-    return decor_fit(x, y, config, horizon=horizon)

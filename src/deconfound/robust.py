@@ -91,7 +91,25 @@ def _subset_to_indices(subset: Sequence[int] | np.ndarray, n: int) -> np.ndarray
         raise ValueError("subset must be non-empty")
     if idx.min() < 1 or idx.max() > n:
         raise ValueError(f"subset indices must lie in 1..{n}")
+    if _repeats_an_index(idx[None, :]):
+        raise ValueError("subset indices must be distinct")
     return idx - 1
+
+
+def _repeats_an_index(sets: np.ndarray) -> bool:
+    """Whether some row of the (C, s) index array holds an index twice.
+
+    Rows in increasing order, as ``candidate_sets_all_of_size`` gives them,
+    pass one comparison over the flat array; only otherwise are rows sorted.
+    """
+    s = sets.shape[1]
+    flat = sets.ravel()
+    rising = flat[1:] > flat[:-1]
+    rising[s - 1 :: s] = True  # the last entry of a row against the first of the next
+    if rising.all():
+        return False
+    ordered = np.sort(sets, axis=1)
+    return bool((ordered[:, 1:] == ordered[:, :-1]).any())
 
 
 def _fit_result(problem, beta, inliers, method, iterations=0, converged=True):
@@ -143,7 +161,10 @@ def resolve_count(a: float | int, n: int) -> int:
     An integral value is taken as an absolute count in ``1..n``; a float in
     (0, 1) is a fraction, converted as ``ceil(a * n)``.  ``1.0`` means all
     rows.  ``a`` is taken exactly as the decimal it prints as: 0.55 of 100 is 55.
+    A bool is not a threshold.
     """
+    if isinstance(a, (bool, np.bool_)):
+        raise ValueError(f"threshold must be a count or a fraction, not a bool: {a!r}")
     if isinstance(a, (int, np.integer)) or (isinstance(a, float) and a.is_integer() and a > 1):
         count = int(a)
     elif 0 < a <= 1:
@@ -300,6 +321,8 @@ def bfs(
         raise ValueError("candidate sets must be non-empty")
     if any(sets.min() < 1 or sets.max() > n for _, sets in groups):
         raise ValueError(f"candidate set indices must lie in 1..{n}")
+    if any(_repeats_an_index(sets) for _, sets in groups):
+        raise ValueError("candidate sets must not repeat an index")
     errs = np.empty(len(listed))
     for where, sets in groups:
         errs[where] = _subset_errors(x, y, sets - 1)

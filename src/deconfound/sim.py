@@ -5,10 +5,11 @@ The generative model is
     X = U 1' + eps_X          (the confounder enters every covariate column)
     Y = X beta + U + eta      (eta i.i.d. centred Gaussian)
 
-where the confounder U is made exactly sparse in the chosen basis: a raw path
-is sampled from the configured process, transformed, masked so that only the
-coefficients on the confounded index set G survive, and mapped back to the
-time domain.  eps_X is sampled independently per covariate column.
+where the confounder U is made exactly sparse in the chosen basis: its basis
+coefficients are zeroed off the confounded index set G and mapped back to the
+time domain.  A band-limited confounder's coefficients are drawn directly and
+masked; an Ornstein-Uhlenbeck confounder is sampled as a path and transformed
+first.  eps_X is sampled independently per covariate column.
 
 Randomness flows through a counter-based (Philox) generator so that replicate
 streams can be split reproducibly; ``generate`` with the same config and seed
@@ -191,17 +192,22 @@ def sample_band_limited(
     ``support`` holds 1-based frequency indices and must fit inside 1..n;
     out-of-range indices are an error, not clipped.
     """
+    return inverse_transform(_band_coefficients(basis.n, support, coeff_std, rng), basis)
+
+
+def _band_coefficients(n: int, support, coeff_std: float, rng: np.random.Generator) -> np.ndarray:
+    """The basis coefficients :func:`sample_band_limited` synthesises."""
     support = np.asarray(list(support), dtype=int).ravel()
     if support.size == 0:
         raise ValueError("support must be non-empty")
-    if support.min() < 1 or support.max() > basis.n:
+    if support.min() < 1 or support.max() > n:
         raise ValueError(
-            f"band support indices must lie in 1..{basis.n}, got range "
+            f"band support indices must lie in 1..{n}, got range "
             f"[{support.min()}, {support.max()}]"
         )
-    coeffs = np.zeros(basis.n)
+    coeffs = np.zeros(n)
     coeffs[support - 1] = rng.normal(0.0, coeff_std, support.size)
-    return inverse_transform(coeffs, basis)
+    return coeffs
 
 
 def _bind_support(process: BandLimitedProcess, n: int) -> np.ndarray:
@@ -237,16 +243,18 @@ def generate(
 
     ``x`` is (n, d), ``y`` is (n,).  The confounded set G is a uniformly
     random subset of the frequencies of size round(conf_prob * n), and the
-    confounder is the raw ``u_process`` path projected onto the G-frequencies,
-    so its basis coefficients vanish off G exactly.  With
+    confounder is the ``u_process`` projected onto the G-frequencies, so its
+    basis coefficients vanish off G exactly.  A band-limited process is masked
+    in its drawn coefficients, which equals synthesising its path and masking
+    the transform of it, without the round trip.  With
     ``dense_u_noise_std > 0``, i.i.d. Gaussian noise is added to the
     confounder path after sparsification (deliberate model misspecification;
     it enters Y but not X).
 
     The draw order (G, confounder path, covariate noise columns, eta, dense
     confounder noise) is fixed, so outputs are reproducible bit-for-bit for a
-    given seed.  Passing a prebuilt ``basis`` avoids rebuilding the matrix in
-    replicate loops; it must match the configured kind and n.
+    given seed.  A prebuilt ``basis`` may be passed; it must match the
+    configured kind and n.
     """
     if rng is None:
         rng = make_rng(config.seed)
@@ -266,8 +274,12 @@ def generate(
     else:
         g_set = np.empty(0, dtype=int)
 
-    u_raw = _sample_process(config.u_process, basis, config.horizon, rng)
-    coeffs = transform(u_raw, basis)
+    u_process = config.u_process
+    if isinstance(u_process, BandLimitedProcess):
+        support = _bind_support(u_process, n)
+        coeffs = _band_coefficients(n, support, u_process.coeff_std, rng)
+    else:
+        coeffs = transform(_sample_process(u_process, basis, config.horizon, rng), basis)
     mask = np.zeros(n)
     mask[g_set - 1] = 1.0
     u_time = inverse_transform(coeffs * mask, basis)

@@ -1,5 +1,7 @@
 """Basis construction, transform correctness, and orthonormality diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,12 @@ from deconfound import (
     BasisKind,
     BasisMatrix,
     ConfigurationError,
+    DecorConfig,
+    SimConfig,
     build_basis,
     check_orthonormality,
+    decor_fit,
+    generate,
     inverse_transform,
     transform,
 )
@@ -164,3 +170,55 @@ class TestDiagnostics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             BasisMatrix(kind=BasisKind.COSINE, n=4, matrix=np.eye(3))
+
+
+class TestFastTransforms:
+    """Above 256 points the transforms use no matrix; the dense product is the reference."""
+
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(BasisKind.COSINE, n) for n in [*range(250, 263), 300, 511, 512, 513, 1000, 1023, 1024]]
+        + [(BasisKind.HAAR, n) for n in (512, 1024, 2048)],
+    )
+    def test_parity_with_dense_product(self, kind, n):
+        rng = np.random.default_rng(n)
+        b = build_basis(kind, n)
+        m = b.matrix
+        for shape in [(n,), (n, 1), (n, 3)]:
+            v = rng.normal(size=shape)
+            for fast, dense in [(transform(v, b), m.T @ v / n), (inverse_transform(v, b), m @ v)]:
+                assert fast.shape == dense.shape
+                assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.HAAR])
+    def test_fit_at_4096_forms_no_dense_matrix(self, kind):
+        # one 4096 x 4096 matrix of doubles is 128 MiB
+        x, y, _ = generate(SimConfig(n=4096, basis_kind=kind, seed=3))
+        tracemalloc.start()
+        try:
+            decor_fit(x, y, DecorConfig(basis_kind=kind))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_matrix_built_on_first_read(self):
+        b = build_basis(BasisKind.COSINE, 2048)
+        tracemalloc.start()
+        try:
+            b.matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak >= 2048 * 2048 * 8
+        assert b.matrix is b.matrix and not b.matrix.flags.writeable
+
+    @pytest.mark.parametrize("kind, n", [(BasisKind.COSINE, 1000), (BasisKind.HAAR, 1024)])
+    def test_rerun_from_seed_is_bit_identical(self, kind, n):
+        runs = []
+        for _ in range(2):
+            x, y, truth = generate(SimConfig(n=n, basis_kind=kind, seed=11))
+            est = decor_fit(x, y, DecorConfig(basis_kind=kind))
+            runs.append((x, y, truth.u_time, est.beta, est.inliers, est.fitted_time_domain))
+        for first, second in zip(*runs):
+            assert np.array_equal(first, second)

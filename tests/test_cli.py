@@ -104,6 +104,19 @@ class TestFit:
         code = run_cli("fit", "--input", out, "--method", "bfs", "--a", "0.5")
         assert code == 4
 
+    @pytest.mark.parametrize("a, kept", [(1, 1), (1.0, 128), (0.7, 90), (5, 5)])
+    def test_threshold_means_what_the_library_means(self, sim_csv, tmp_path, a, kept):
+        # "1" is the count 1 and "1.0" the fraction 1.0 (all rows), as in decor_fit
+        from deconfound import DecorConfig, decor_fit
+        from deconfound.cli import read_series_csv
+
+        out = tmp_path / "a.json"
+        run_cli("fit", "--input", sim_csv, "--a", str(a), "--out", out)
+        _, x, y = read_series_csv(sim_csv)
+        expected = decor_fit(x, y, DecorConfig(a=a)).inliers
+        assert json.loads(out.read_text())["inliers"] == expected.tolist()
+        assert len(expected) == kept
+
     def test_non_convergence_exit_code(self, sim_csv, tmp_path):
         code = run_cli(
             "fit", "--input", sim_csv, "--max-iter", "1", "--out", tmp_path / "nc.json"

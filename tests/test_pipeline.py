@@ -10,7 +10,6 @@ from deconfound import (
     FeasibilityError,
     Method,
     SimConfig,
-    deconfound,
     decor_fit,
     generate,
     resolve_count,
@@ -167,14 +166,6 @@ class TestDecorConfig:
 
 
 class TestDeconfound:
-    def test_same_estimate_as_fit(self):
-        cfg = SimConfig(n=32, sigma_eta2=1.0, seed=40)
-        x, y, _ = generate(cfg)
-        a = decor_fit(x, y, DecorConfig())
-        b = deconfound(x, y, DecorConfig())
-        assert np.array_equal(a.beta, b.beta)
-        assert np.array_equal(a.fitted_time_domain, b.fitted_time_domain)
-
     def test_json_document_shape(self):
         cfg = SimConfig(n=16, sigma_eta2=1.0, seed=41)
         x, y, _ = generate(cfg)

@@ -151,6 +151,14 @@ class TestResolveCount:
         with pytest.raises(ValueError):
             resolve_count(12, 9)
 
+    @pytest.mark.parametrize("a", [True, False, np.True_])
+    def test_bool_is_not_a_count(self, a):
+        with pytest.raises(ValueError, match="bool"):
+            resolve_count(a, 9)
+        p = RegressionProblem(np.arange(1.0, 10.0), np.arange(1.0, 10.0))
+        with pytest.raises(ValueError, match="bool"):
+            torrent(p, a)
+
 
 class TestTorrent:
     def test_exact_data_full_threshold(self):
@@ -381,6 +389,21 @@ class TestBfsKernel:
             bfs(p, np.empty((0, 2), dtype=int))
         with pytest.raises(ValueError, match="candidate sets must be non-empty"):
             bfs(p, [(1,), ()])
+
+    def test_repeated_index_rejected(self):
+        p = RegressionProblem(np.arange(1.0, 7.0), np.arange(1.0, 7.0))
+        for bad in (
+            [(1, 1, 2), (3, 4, 5)],
+            np.array([[1, 2, 3], [4, 6, 4]]),  # out of order, repeat not adjacent
+            [(1, 2), (5, 3, 5)],  # ragged
+        ):
+            with pytest.raises(ValueError, match="repeat an index"):
+                bfs(p, bad)
+        with pytest.raises(ValueError, match="distinct"):
+            ols(p, [1, 1, 2])
+        # unordered sets without repeats are fitted as given
+        assert list(bfs(p, np.array([[3, 2, 1], [6, 4, 5]])).inliers) == [1, 2, 3]
+        assert np.max(np.abs(ols(p, [3, 1, 2]) - 1.0)) < 1e-12
 
 
 class TestCandidateSets:
