@@ -24,7 +24,9 @@ cosine transforms are the orthonormal FFT-based DCT-II/DCT-III of
 transforms are a pairwise sum/difference pyramid (Mallat 1989), O(n).  The
 cutoff is where the two cost the same: below it scipy's per-call overhead
 dominates, at n = 1024 the DCT is about 20x faster than the product.
-``BasisMatrix.matrix`` is built only when it is read.
+
+A basis is its kind and its size n and nothing else: ``build_basis(kind, n)``
+is O(1), and ``BasisMatrix.matrix`` is built only when it is read.
 
 Frequency indices are 1-based everywhere in the public API: index 1 is the
 constant (lowest-frequency) function.
@@ -34,7 +36,8 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -52,57 +55,36 @@ class BasisKind(str, enum.Enum):
     HAAR = "haar"
 
 
+@dataclass(frozen=True)
 class BasisMatrix:
-    """An n-point orthonormal basis together with its construction metadata.
+    """The n-point orthonormal basis of one kind; the pair ``(kind, n)`` is all of it.
 
-    Immutable.  ``matrix`` is the n x n matrix ``Phi``, built when first read.  A
-    basis constructed with an explicit ``matrix`` (a hand-built or corrupted one,
-    for the diagnostics) transforms by multiplying with that matrix.  The
-    horizon is informational only: the discrete basis does not depend on it, it
-    merely fixes the physical spacing ``horizon / n`` of the samples.
+    Immutable.  ``matrix`` is the n x n matrix ``Phi``, built when first read and
+    kept on this object.
 
     Raises
     ------
     ConfigurationError
-        If ``n < 1``, ``horizon <= 0``, ``kind`` is Haar and ``n`` is not a
-        power of two, or ``matrix`` is not n x n.
+        If ``n < 1``, or ``kind`` is Haar and ``n`` is not a power of two.
     """
 
-    __slots__ = ("kind", "n", "horizon", "_matrix", "_given")
+    kind: BasisKind
+    n: int
 
-    def __init__(
-        self, kind: BasisKind, n: int, matrix: np.ndarray | None = None, horizon: float = 1.0
-    ):
-        kind = BasisKind(kind)
-        if n < 1:
-            raise ConfigurationError(f"sample count must be positive, got n={n}")
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be positive, got {horizon}")
-        if kind is BasisKind.HAAR and not _is_power_of_two(n):
+    def __post_init__(self):
+        object.__setattr__(self, "kind", BasisKind(self.kind))
+        if self.n < 1:
+            raise ConfigurationError(f"sample count must be positive, got n={self.n}")
+        if self.kind is BasisKind.HAAR and not _is_power_of_two(self.n):
             raise ConfigurationError(
-                f"the Haar basis requires the sample count to be a power of two, got n={n}"
+                f"the Haar basis requires the sample count to be a power of two, got n={self.n}"
             )
-        if matrix is not None:
-            matrix = np.asarray(matrix, dtype=float)
-            if matrix.shape != (n, n):
-                raise ConfigurationError(f"basis matrix must be {n}x{n}, got {matrix.shape}")
-        fields = dict(kind=kind, n=n, horizon=horizon, _matrix=matrix, _given=matrix is not None)
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BasisMatrix is immutable; cannot set {name!r}")
-
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """The n x n matrix ``Phi``; read-only unless it was given."""
-        if self._matrix is None:
-            build = _small_matrix if self.n <= DENSE_MAX_N else _build_matrix
-            object.__setattr__(self, "_matrix", build(self.kind, self.n))
-        return self._matrix
-
-    def __repr__(self) -> str:
-        return f"BasisMatrix(kind={self.kind.value!r}, n={self.n}, horizon={self.horizon!r})"
+        """The n x n matrix ``Phi``, read-only."""
+        build = _small_matrix if self.n <= DENSE_MAX_N else _build_matrix
+        return build(self.kind, self.n)
 
 
 class OrthonormalityCheck(NamedTuple):
@@ -157,26 +139,15 @@ def _build_matrix(kind: BasisKind, n: int) -> np.ndarray:
 _small_matrix = lru_cache(maxsize=64)(_build_matrix)
 
 
-def build_basis(kind: BasisKind, n: int, horizon: float = 1.0) -> BasisMatrix:
+def build_basis(kind: BasisKind, n: int) -> BasisMatrix:
     """The n-point basis of the given kind; O(1), the matrix is built on first read.
-
-    Parameters
-    ----------
-    kind : BasisKind
-        Cosine or Haar.
-    n : int
-        Number of sample points (and basis functions). Haar requires a power
-        of two.
-    horizon : float
-        Length of the observation window; metadata only.
 
     Raises
     ------
     ConfigurationError
-        If ``n < 1``, ``horizon <= 0``, or ``kind`` is Haar and ``n`` is not a
-        power of two.
+        If ``n < 1``, or ``kind`` is Haar and ``n`` is not a power of two.
     """
-    return BasisMatrix(kind, n, horizon=horizon)
+    return BasisMatrix(kind, n)
 
 
 def _as_columns(series: np.ndarray, n: int, what: str) -> tuple[np.ndarray, bool]:
@@ -189,10 +160,6 @@ def _as_columns(series: np.ndarray, n: int, what: str) -> tuple[np.ndarray, bool
             f"{what} must have {n} rows to match the basis, got shape {np.shape(series)}"
         )
     return arr, was_1d
-
-
-def _by_matrix(basis: BasisMatrix) -> bool:
-    return basis._given or basis.n <= DENSE_MAX_N
 
 
 def _haar_analysis(v: np.ndarray) -> np.ndarray:
@@ -230,7 +197,7 @@ def transform(series: np.ndarray, basis: BasisMatrix) -> np.ndarray:
     returns the same shape.
     """
     arr, was_1d = _as_columns(series, basis.n, "series")
-    if _by_matrix(basis):
+    if basis.n <= DENSE_MAX_N:
         out = basis.matrix.T @ arr / basis.n
     elif basis.kind is BasisKind.COSINE:
         out = scipy.fft.dct(arr, type=2, norm="ortho", axis=0) / math.sqrt(basis.n)
@@ -242,7 +209,7 @@ def transform(series: np.ndarray, basis: BasisMatrix) -> np.ndarray:
 def inverse_transform(freq: np.ndarray, basis: BasisMatrix) -> np.ndarray:
     """Synthesis transform ``Phi @ freq``; the left inverse of :func:`transform`."""
     arr, was_1d = _as_columns(freq, basis.n, "coefficients")
-    if _by_matrix(basis):
+    if basis.n <= DENSE_MAX_N:
         out = basis.matrix @ arr
     elif basis.kind is BasisKind.COSINE:
         out = scipy.fft.idct(arr, type=2, norm="ortho", axis=0) * math.sqrt(basis.n)

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basis import build_basis
+# unused here, but perfbench's tracer wraps bench.build_basis and fails without it
+from .basis import build_basis  # noqa: F401
 from .errors import FeasibilityError
 from .pipeline import DecorConfig, Method, decor_fit
 from .sim import SimConfig, generate, make_rng
@@ -112,36 +113,20 @@ def run_experiment(spec: ExperimentSpec):
     records: list[ReplicateRecord] = []
     for n in spec.n_grid:
         sim_n = replace(spec.sim, n=n)
-        basis = build_basis(sim_n.basis_kind, n, sim_n.horizon)
         beta_true = sim_n.beta_vector()
         for m_index, (cfg, label) in enumerate(zip(spec.methods, labels)):
-            errors: list[float] = []
-            iterations: list[int] = []
-            failed = 0
+            cell: list[ReplicateRecord] = []
             for r in range(spec.replicates):
                 rng = make_rng(_replicate_seed(spec.seed_base, n, m_index, r))
-                x, y, _ = generate(sim_n, rng=rng, basis=basis)
+                x, y, _ = generate(sim_n, rng=rng)
                 try:
-                    est = decor_fit(x, y, cfg, horizon=sim_n.horizon)
+                    est = decor_fit(x, y, cfg)
                 except FeasibilityError:
-                    failed += 1
-                    records.append(
-                        ReplicateRecord(
-                            n=n,
-                            method=label,
-                            sigma_eta2=sim_n.sigma_eta2,
-                            conf_prob=sim_n.conf_prob,
-                            replicate=r,
-                            abs_error=float("nan"),
-                            iterations=0,
-                            failed=True,
-                        )
-                    )
-                    continue
-                err = float(np.mean(np.abs(est.beta - beta_true)))
-                errors.append(err)
-                iterations.append(est.iterations)
-                records.append(
+                    failed, err, iterations = True, float("nan"), 0
+                else:
+                    err = float(np.mean(np.abs(est.beta - beta_true)))
+                    failed, iterations = False, est.iterations
+                cell.append(
                     ReplicateRecord(
                         n=n,
                         method=label,
@@ -149,16 +134,18 @@ def run_experiment(spec: ExperimentSpec):
                         conf_prob=sim_n.conf_prob,
                         replicate=r,
                         abs_error=err,
-                        iterations=est.iterations,
-                        failed=False,
+                        iterations=iterations,
+                        failed=failed,
                     )
                 )
-            if errors:
-                arr = np.asarray(errors)
+            records.extend(cell)
+            fitted = [rec for rec in cell if not rec.failed]
+            if fitted:
+                arr = np.asarray([rec.abs_error for rec in fitted])
                 mae = float(arr.mean())
                 stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-                mean_iter = float(np.mean(iterations))
-                max_iter = int(np.max(iterations))
+                mean_iter = float(np.mean([rec.iterations for rec in fitted]))
+                max_iter = max(rec.iterations for rec in fitted)
             else:
                 mae, stderr, mean_iter, max_iter = float("nan"), float("nan"), float("nan"), 0
             rows.append(
@@ -171,7 +158,7 @@ def run_experiment(spec: ExperimentSpec):
                     mae_stderr=stderr,
                     mean_iterations=mean_iter,
                     max_iterations=max_iter,
-                    replicates_failed=failed,
+                    replicates_failed=len(cell) - len(fitted),
                 )
             )
     return rows, records

@@ -186,7 +186,7 @@ def _fit_from_args(args):
         max_iter=args.max_iter,
         bfs_cap=args.bfs_cap,
     )
-    return decor_fit(x, y, config, horizon=args.horizon), y
+    return decor_fit(x, y, config), y
 
 
 def cmd_fit(args) -> int:
@@ -201,6 +201,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_deconfound(args) -> int:
+    if not args.horizon > 0:
+        raise InputFormatError(f"--horizon must be positive, got {args.horizon}")
     est, y = _fit_from_args(args)
     n = len(y)
     t = np.arange(1, n + 1) * (args.horizon / n)
@@ -251,8 +253,6 @@ def cmd_check_basis(args) -> int:
 
 def cmd_experiment(args) -> int:
     spec = load_experiment_spec(args.spec)
-    if args.threads < 1:
-        raise InputFormatError("--threads must be >= 1")
     rows, records = run_experiment(spec)
     write_result_rows(args.out, rows)
     records_path = args.records_out or (args.out + ".replicates.csv")
@@ -408,7 +408,6 @@ def _add_common_fit_flags(p):
     )
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--bfs-cap", type=int, default=10_000_000)
-    p.add_argument("--horizon", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deconfound", help="fit and write the deconfounding report bundle")
     _add_common_fit_flags(p)
     p.add_argument("--out", required=True, help="output path prefix")
+    p.add_argument("--horizon", type=float, default=1.0, help="length of the t column's window")
     p.set_defaults(func=cmd_deconfound)
 
     p = sub.add_parser("experiment", help="run an experiment spec (JSON)")
@@ -450,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--records-out", default=None, help="per-replicate CSV path (default: <out>.replicates.csv)"
     )
-    p.add_argument("--threads", type=int, default=1, help="max worker threads (engine is sequential)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("check-basis", help="verify discrete orthonormality")

@@ -114,7 +114,6 @@ def decor_fit(
     x: np.ndarray,
     y: np.ndarray,
     config: DecorConfig = DecorConfig(),
-    horizon: float = 1.0,
 ) -> DecorEstimate:
     """Fit the causal coefficient on basis-transformed data.
 
@@ -142,7 +141,7 @@ def decor_fit(
     if n < d:
         raise ValueError(f"need at least as many samples as covariates ({n} < {d})")
 
-    basis = build_basis(config.basis_kind, n, horizon)
+    basis = build_basis(config.basis_kind, n)
     xy_freq = transform(np.column_stack([x, y]), basis)
     x_freq, y_freq = xy_freq[:, :d], xy_freq[:, d]
     problem = robust.RegressionProblem(x_freq, y_freq)

@@ -6,10 +6,12 @@ The generative model is
     Y = X beta + U + eta      (eta i.i.d. centred Gaussian)
 
 where the confounder U is made exactly sparse in the chosen basis: its basis
-coefficients are zeroed off the confounded index set G and mapped back to the
-time domain.  A band-limited confounder's coefficients are drawn directly and
-masked; an Ornstein-Uhlenbeck confounder is sampled as a path and transformed
-first.  eps_X is sampled independently per covariate column.
+coefficients are zeroed off the confounded index set G.  Every process, the
+confounder and each of the d covariate-noise columns eps_X, is drawn as basis
+coefficients: a band-limited process draws them directly, an
+Ornstein-Uhlenbeck process samples its paths and transforms them in one call.
+One inverse transform of the (n, 1 + d) coefficient array then gives U and
+eps_X in the time domain.
 
 Randomness flows through a counter-based (Philox) generator so that replicate
 streams can be split reproducibly; ``generate`` with the same config and seed
@@ -192,11 +194,13 @@ def sample_band_limited(
     ``support`` holds 1-based frequency indices and must fit inside 1..n;
     out-of-range indices are an error, not clipped.
     """
-    return inverse_transform(_band_coefficients(basis.n, support, coeff_std, rng), basis)
+    return inverse_transform(_band_coefficients(basis.n, support, coeff_std, 1, rng), basis)[:, 0]
 
 
-def _band_coefficients(n: int, support, coeff_std: float, rng: np.random.Generator) -> np.ndarray:
-    """The basis coefficients :func:`sample_band_limited` synthesises."""
+def _band_coefficients(
+    n: int, support, coeff_std: float, columns: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(n, columns) coefficients ~ N(0, coeff_std^2) on ``support``, drawn column by column."""
     support = np.asarray(list(support), dtype=int).ravel()
     if support.size == 0:
         raise ValueError("support must be non-empty")
@@ -205,27 +209,26 @@ def _band_coefficients(n: int, support, coeff_std: float, rng: np.random.Generat
             f"band support indices must lie in 1..{n}, got range "
             f"[{support.min()}, {support.max()}]"
         )
-    coeffs = np.zeros(n)
-    coeffs[support - 1] = rng.normal(0.0, coeff_std, support.size)
+    coeffs = np.zeros((n, columns))
+    coeffs[support - 1] = rng.normal(0.0, coeff_std, (columns, support.size)).T
     return coeffs
 
 
-def _bind_support(process: BandLimitedProcess, n: int) -> np.ndarray:
-    if process.support is None:
-        return np.arange(1, n + 1)
-    return np.asarray(process.support, dtype=int)
-
-
-def _sample_process(
+def _process_coefficients(
     process: ProcessKind,
     basis: BasisMatrix,
+    columns: int,
     horizon: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    if isinstance(process, OUProcess):
-        return sample_ou(basis.n, horizon, process.sigma, process.drift, rng)
+    """Basis coefficients of ``columns`` independent draws of ``process``, shape (n, columns)."""
+    n = basis.n
     if isinstance(process, BandLimitedProcess):
-        return sample_band_limited(basis, _bind_support(process, basis.n), process.coeff_std, rng)
+        support = range(1, n + 1) if process.support is None else process.support
+        return _band_coefficients(n, support, process.coeff_std, columns, rng)
+    if isinstance(process, OUProcess):
+        paths = [sample_ou(n, horizon, process.sigma, process.drift, rng) for _ in range(columns)]
+        return transform(np.column_stack(paths), basis)
     raise ConfigurationError(f"unknown process kind: {process!r}")
 
 
@@ -234,37 +237,25 @@ def confounded_set_size(conf_prob: float, n: int) -> int:
     return int(math.floor(conf_prob * n + 0.5))
 
 
-def generate(
-    config: SimConfig,
-    rng: np.random.Generator | None = None,
-    basis: BasisMatrix | None = None,
-):
+def generate(config: SimConfig, rng: np.random.Generator | None = None):
     """Draw one instance; returns ``(x, y, truth)``.
 
     ``x`` is (n, d), ``y`` is (n,).  The confounded set G is a uniformly
     random subset of the frequencies of size round(conf_prob * n), and the
-    confounder is the ``u_process`` projected onto the G-frequencies, so its
-    basis coefficients vanish off G exactly.  A band-limited process is masked
-    in its drawn coefficients, which equals synthesising its path and masking
-    the transform of it, without the round trip.  With
+    confounder's basis coefficients are zeroed off G, so they vanish there
+    exactly.  The confounder and the d covariate-noise columns are drawn as
+    basis coefficients and synthesised by one inverse transform.  With
     ``dense_u_noise_std > 0``, i.i.d. Gaussian noise is added to the
     confounder path after sparsification (deliberate model misspecification;
     it enters Y but not X).
 
-    The draw order (G, confounder path, covariate noise columns, eta, dense
+    The draw order (G, confounder, covariate noise columns, eta, dense
     confounder noise) is fixed, so outputs are reproducible bit-for-bit for a
-    given seed.  A prebuilt ``basis`` may be passed; it must match the
-    configured kind and n.
+    given seed.
     """
     if rng is None:
         rng = make_rng(config.seed)
-    if basis is None:
-        basis = build_basis(config.basis_kind, config.n, config.horizon)
-    elif basis.kind is not BasisKind(config.basis_kind) or basis.n != config.n:
-        raise ConfigurationError(
-            f"prebuilt basis ({basis.kind.value}, n={basis.n}) does not match "
-            f"config ({BasisKind(config.basis_kind).value}, n={config.n})"
-        )
+    basis = build_basis(config.basis_kind, config.n)
     n, d = config.n, config.d
     beta = config.beta_vector()
 
@@ -274,19 +265,15 @@ def generate(
     else:
         g_set = np.empty(0, dtype=int)
 
-    u_process = config.u_process
-    if isinstance(u_process, BandLimitedProcess):
-        support = _bind_support(u_process, n)
-        coeffs = _band_coefficients(n, support, u_process.coeff_std, rng)
-    else:
-        coeffs = transform(_sample_process(u_process, basis, config.horizon, rng), basis)
-    mask = np.zeros(n)
-    mask[g_set - 1] = 1.0
-    u_time = inverse_transform(coeffs * mask, basis)
-
-    eps = np.column_stack(
-        [_sample_process(config.eps_process, basis, config.horizon, rng) for _ in range(d)]
-    )
+    coeffs = np.hstack([
+        _process_coefficients(config.u_process, basis, 1, config.horizon, rng),
+        _process_coefficients(config.eps_process, basis, d, config.horizon, rng),
+    ])
+    off_g = np.ones(n, dtype=bool)
+    off_g[g_set - 1] = False
+    coeffs[off_g, 0] = 0.0
+    paths = inverse_transform(coeffs, basis)
+    u_time, eps = paths[:, 0], paths[:, 1:]
     x = u_time[:, None] + eps
 
     # sigma 0 still consumes n draws, so streams stay aligned across noise levels

@@ -346,7 +346,7 @@ def test_criterion_7_exact_recovery():
     certified = recovered = 0
     for seed in range(80):
         cfg = SimConfig(n=n, sigma_eta2=0.0, conf_prob=1 / n, seed=seed)
-        x, y, truth = generate(cfg, basis=basis)
+        x, y, truth = generate(cfg)
         a = n - truth.g_set.size
         problem = RegressionProblem(transform(x, basis), transform(y, basis))
         inliers = np.setdiff1d(np.arange(1, n + 1), truth.g_set)
@@ -438,7 +438,6 @@ def test_criterion_9_misspecification_ablations():
 def test_workflow_riders_exclusion_and_residuals():
     """Deconfounding workflow checks standing in for the real-data study."""
     n = 128
-    basis = build_basis(BasisKind.COSINE, n)
     fracs = []
     for seed in range(200):
         cfg = SimConfig(
@@ -446,7 +445,7 @@ def test_workflow_riders_exclusion_and_residuals():
             u_process=BandLimitedProcess(support=tuple(range(1, n // 4 + 1))),
             seed=seed,
         )
-        x, y, _ = generate(cfg, basis=basis)
+        x, y, _ = generate(cfg)
         est = decor_fit(x, y, DecorConfig(a=0.9))
         fracs.append(np.mean(est.excluded_frequencies <= n // 4))
     concentration = float(np.mean(fracs))
@@ -454,7 +453,7 @@ def test_workflow_riders_exclusion_and_residuals():
     cors = []
     for seed in range(100):
         cfg = SimConfig(n=n, sigma_eta2=0.0, seed=seed)
-        x, y, truth = generate(cfg, basis=basis)
+        x, y, truth = generate(cfg)
         est = decor_fit(x, y, DecorConfig())
         cors.append(np.corrcoef(est.residuals_time_domain, truth.u_time)[0, 1])
     corr = float(np.mean(cors))

@@ -18,6 +18,7 @@ from deconfound import (
     inverse_transform,
     transform,
 )
+from deconfound import basis as basis_module
 
 
 def naive_transform(series, basis):
@@ -76,6 +77,14 @@ class TestConstruction:
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigurationError):
             build_basis(BasisKind.COSINE, 0)
+
+    def test_basis_is_its_kind_and_size(self):
+        b = build_basis(BasisKind.COSINE, 8)
+        assert b == BasisMatrix("cosine", 8) and hash(b) == hash(BasisMatrix("cosine", 8))
+        assert b != BasisMatrix(BasisKind.HAAR, 8)
+        for name in ("kind", "n", "matrix"):
+            with pytest.raises(AttributeError):
+                setattr(b, name, None)
 
     def test_matrix_is_readonly(self):
         b = build_basis(BasisKind.COSINE, 8)
@@ -158,18 +167,13 @@ class TestTransform:
 
 
 class TestDiagnostics:
-    def test_zeroed_column_detected(self):
-        b = build_basis(BasisKind.COSINE, 8)
-        m = b.matrix.copy()
+    def test_zeroed_column_detected(self, monkeypatch):
+        m = build_basis(BasisKind.COSINE, 8).matrix.copy()
         m[:, 3] = 0.0
-        broken = BasisMatrix(kind=BasisKind.COSINE, n=8, matrix=m)
-        ok, dev = check_orthonormality(broken, tol=1e-10)
+        monkeypatch.setattr(basis_module, "_small_matrix", lambda kind, n: m)
+        ok, dev = check_orthonormality(build_basis(BasisKind.COSINE, 8), tol=1e-10)
         assert not ok
         assert dev == pytest.approx(1.0, abs=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BasisMatrix(kind=BasisKind.COSINE, n=4, matrix=np.eye(3))
 
 
 class TestFastTransforms:

@@ -183,6 +183,22 @@ class TestDeconfound:
         assert np.mean(np.array(ks) <= n // 4) >= 0.7
 
 
+    @pytest.mark.parametrize("horizon", ["0", "-1"])
+    def test_nonpositive_horizon_rejected(self, sim_csv, tmp_path, capsys, horizon):
+        prefix = tmp_path / "r"
+        code = run_cli("deconfound", "--input", sim_csv, "--horizon", horizon, "--out", prefix)
+        assert code == 2
+        assert "--horizon must be positive" in capsys.readouterr().err
+        assert not Path(f"{prefix}_fitted.csv").exists()
+
+    def test_horizon_sets_t_column(self, sim_csv, tmp_path):
+        prefix = tmp_path / "h"
+        assert run_cli("deconfound", "--input", sim_csv, "--horizon", "2", "--out", prefix) == 0
+        with open(f"{prefix}_fitted.csv") as fh:
+            t = [float(r["t"]) for r in csv.DictReader(fh)]
+        assert t[0] == pytest.approx(2 / 128) and t[-1] == pytest.approx(2.0)
+
+
 class TestCheckBasis:
     def test_pass(self, capsys):
         assert run_cli("check-basis", "--kind", "cosine", "--n", "256", "--tol", "1e-10") == 0
@@ -251,6 +267,18 @@ class TestUsage:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "d.csv", "--horizon", "1"],
+            ["experiment", "--spec", "s.json", "--out", "o.csv", "--threads", "2"],
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
     def test_version_flag(self, capsys):

@@ -1,5 +1,7 @@
 """End-to-end pipeline: estimation, exclusion reports, deconfounded fits."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,48 @@ class TestDecorFit:
         scaled = decor_fit(x, c * y, DecorConfig())
         assert np.max(np.abs(scaled.beta - c * base.beta)) < 1e-8
         assert np.array_equal(scaled.excluded_frequencies, base.excluded_frequencies)
+
+    @pytest.mark.parametrize("method, n", [(Method.TORRENT, 48), (Method.BFS, 16)])
+    def test_shift_along_x_shifts_beta(self, method, n):
+        # y + X b has residuals y - X beta at beta + b: same fit, beta moved by b
+        x, y, _ = generate(SimConfig(n=n, sigma_eta2=1.0, seed=27))
+        b = -1.7
+        base = decor_fit(x, y, DecorConfig(method=method))
+        shifted = decor_fit(x, y + x[:, 0] * b, DecorConfig(method=method))
+        assert np.max(np.abs(shifted.beta - (base.beta + b))) < 1e-8
+        assert np.array_equal(shifted.excluded_frequencies, base.excluded_frequencies)
+
+    @pytest.mark.parametrize("method, n", [(Method.TORRENT, 48), (Method.BFS, 16)])
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_column_scaling_scales_its_coefficient_inversely(self, method, n, j):
+        x, y, _ = generate(SimConfig(n=n, d=2, beta=(3.0, -1.0), sigma_eta2=1.0, seed=28))
+        c = 4.0
+        x_scaled = x.copy()
+        x_scaled[:, j] *= c
+        base = decor_fit(x, y, DecorConfig(method=method))
+        scaled = decor_fit(x_scaled, y, DecorConfig(method=method))
+        expected = base.beta.copy()
+        expected[j] /= c
+        assert np.max(np.abs(scaled.beta - expected)) < 1e-8
+        assert np.array_equal(scaled.excluded_frequencies, base.excluded_frequencies)
+
+    @pytest.mark.parametrize("process", ["band", "ou"])
+    def test_cli_simulate_then_fit_matches_library(self, tmp_path, process):
+        from deconfound import OUProcess
+        from deconfound.cli import main
+
+        data, est_path = tmp_path / "data.csv", tmp_path / "est.json"
+        argv = ["simulate", "--process", process, "--n", "64", "--seed", "31", "--out", data]
+        assert main([str(a) for a in argv]) == 0
+        assert main(["fit", "--input", str(data), "--out", str(est_path)]) == 0
+        procs = {}
+        if process == "ou":
+            procs = dict(eps_process=OUProcess(1.0, -0.8), u_process=OUProcess(1.0, -0.5))
+        x, y, _ = generate(SimConfig(n=64, seed=31, **procs))
+        est = decor_fit(x, y, DecorConfig())
+        doc = json.loads(est_path.read_text())
+        assert doc["beta"] == est.beta.tolist()
+        assert doc["inliers"] == est.inliers.tolist()
 
     @pytest.mark.parametrize("method", [Method.TORRENT, Method.BFS])
     def test_excluded_count_is_complement_of_threshold(self, method):

@@ -13,11 +13,52 @@ from deconfound import (
     SimConfig,
     build_basis,
     generate,
+    inverse_transform,
     make_rng,
     sample_band_limited,
     sample_ou,
+    sim,
     transform,
 )
+from deconfound.sim import confounded_set_size
+
+
+def per_column_reference(config):
+    """``generate`` by the per-column route, kept as an independent reference.
+
+    The confounder is masked and synthesised on its own, and each covariate-noise
+    column is sampled as a path (band-limited: drawn coefficients, synthesised
+    one column at a time); the draw order is the documented one.
+    """
+    rng = make_rng(config.seed)
+    basis = build_basis(config.basis_kind, config.n)
+    n = config.n
+
+    def band_coefficients(process):
+        support = np.arange(1, n + 1) if process.support is None else np.asarray(process.support)
+        coeffs = np.zeros(n)
+        coeffs[support - 1] = rng.normal(0.0, process.coeff_std, support.size)
+        return coeffs
+
+    def path(process):
+        if isinstance(process, OUProcess):
+            return sample_ou(n, config.horizon, process.sigma, process.drift, rng)
+        return inverse_transform(band_coefficients(process), basis)
+
+    g_size = confounded_set_size(config.conf_prob, n)
+    g_set = np.sort(rng.choice(n, size=g_size, replace=False)) + 1
+    if isinstance(config.u_process, BandLimitedProcess):
+        coeffs = band_coefficients(config.u_process)
+    else:
+        coeffs = transform(path(config.u_process), basis)
+    mask = np.zeros(n)
+    mask[g_set - 1] = 1.0
+    u_time = inverse_transform(coeffs * mask, basis)
+    eps = np.column_stack([path(config.eps_process) for _ in range(config.d)])
+    x = u_time[:, None] + eps
+    eta = rng.normal(0.0, math.sqrt(config.sigma_eta2), n)
+    y = x @ config.beta_vector() + u_time + eta
+    return x, y, g_set, u_time, eps
 
 
 class TestOu:
@@ -97,7 +138,7 @@ class TestGenerate:
     def test_confounder_is_sparse_on_g(self):
         cfg = SimConfig(n=64, sigma_eta2=1.0, seed=2)
         basis = build_basis(BasisKind.COSINE, 64)
-        x, y, truth = generate(cfg, basis=basis)
+        x, y, truth = generate(cfg)
         coeffs = transform(truth.u_time, basis)
         off = np.setdiff1d(np.arange(1, 65), truth.g_set)
         assert np.max(np.abs(coeffs[off - 1])) < 1e-10
@@ -105,7 +146,7 @@ class TestGenerate:
     def test_dense_noise_breaks_sparsity_but_model_holds(self):
         cfg = SimConfig(n=64, sigma_eta2=0.5, dense_u_noise_std=1.0, seed=3)
         basis = build_basis(BasisKind.COSINE, 64)
-        x, y, truth = generate(cfg, basis=basis)
+        x, y, truth = generate(cfg)
         coeffs = transform(truth.u_time, basis)
         off = np.setdiff1d(np.arange(1, 65), truth.g_set)
         assert np.max(np.abs(coeffs[off - 1])) > 1e-6
@@ -156,7 +197,7 @@ class TestGenerate:
             seed=5,
         )
         basis = build_basis(BasisKind.COSINE, 64)
-        x, y, truth = generate(cfg, basis=basis)
+        x, y, truth = generate(cfg)
         coeffs = transform(truth.u_time, basis)
         off = np.setdiff1d(np.arange(1, 65), truth.g_set)
         assert np.max(np.abs(coeffs[off - 1])) < 1e-10
@@ -170,10 +211,37 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(cfg)
 
-    def test_mismatched_prebuilt_basis_rejected(self):
-        basis = build_basis(BasisKind.COSINE, 16)
-        with pytest.raises(ConfigurationError):
-            generate(SimConfig(n=32, seed=0), basis=basis)
+    @pytest.mark.parametrize("process", ["band", "ou"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(BasisKind.COSINE, n) for n in (8, 300, 1024)] + [(BasisKind.HAAR, n) for n in (8, 1024)],
+    )
+    def test_matches_per_column_reference(self, process, d, kind, n):
+        if process == "ou":
+            procs = dict(eps_process=OUProcess(1.0, -0.8), u_process=OUProcess(1.0, -0.5))
+        else:
+            procs = dict(u_process=BandLimitedProcess(support=tuple(range(2, n, 3))))
+        cfg = SimConfig(n=n, d=d, basis_kind=kind, seed=n + d, **procs)
+        x, y, truth = generate(cfg)
+        ref_x, ref_y, ref_g, ref_u, ref_eps = per_column_reference(cfg)
+        assert np.array_equal(truth.g_set, ref_g)
+        pairs = [(x, ref_x), (y, ref_y), (truth.u_time, ref_u), (truth.eps_x_time, ref_eps)]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_synthesis_per_instance(self, monkeypatch):
+        calls = []
+        real = sim.inverse_transform
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sim, "inverse_transform", counted)
+        generate(SimConfig(n=64, d=2, seed=8))
+        assert len(calls) == 1
 
     def test_frequency_noise_variance_shrinks(self):
         # quick version of the distributional check: component variance of the
