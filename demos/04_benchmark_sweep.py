@@ -13,7 +13,7 @@ from deconfound import (
     SimConfig,
     run_consistency_sweep,
 )
-from deconfound.bench import write_result_rows
+from deconfound.bench import RESULT_CSV_HEADER, write_rows
 
 out_path = sys.argv[1] if len(sys.argv) > 1 else "sweep_results.csv"
 
@@ -33,5 +33,5 @@ for r in rows:
 print(f"\nrobust error halved from smallest to largest n: {verdict.robust_halved}")
 print(f"baseline stayed flat (no comparable improvement): {verdict.baseline_floor_held}")
 
-write_result_rows(out_path, rows)
+write_rows(out_path, RESULT_CSV_HEADER, rows)
 print(f"\nwrote {out_path}")

@@ -21,19 +21,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+import typing
 
 import numpy as np
 
 from . import __version__
 from .basis import BasisKind, basis_to_csv, build_basis, check_orthonormality
-from .bench import (
-    ExperimentSpec,
-    run_experiment,
-    write_replicate_records,
-    write_result_rows,
-)
+from .bench import RECORD_CSV_HEADER, RESULT_CSV_HEADER, ExperimentSpec, run_experiment, write_rows
 from .errors import ConfigurationError, FeasibilityError
 from .pipeline import SCHEMA_VERSION, DecorConfig, Method, decor_fit
 from .sim import BandLimitedProcess, OUProcess, SimConfig, generate
@@ -103,24 +100,30 @@ def read_series_csv(path):
 
 
 def write_series_csv(path, t, x, y) -> None:
-    d = x.shape[1]
+    names = ["t", *(f"x_{i}" for i in range(1, x.shape[1] + 1)), "y"]
+    _write_columns(path, names, [t, *x.T, y])
+
+
+def _write_columns(path, names, columns) -> None:
+    """Write equal-length numeric columns as CSV under ``names``, each value as its float repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(f"x_{i}" for i in range(1, d + 1)) + ",y\n")
-        for i in range(len(y)):
-            cells = [repr(float(t[i]))]
-            cells += [repr(float(v)) for v in x[i]]
-            cells.append(repr(float(y[i])))
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join(names) + "\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-# ------------------------------------------------------------- process flags
+# ------------------------------------------------------------- config flags
 
 
-def _processes_from_flags(process: str):
-    """eps and confounder processes for --process {band,ou}."""
-    if process == "ou":
-        return OUProcess(1.0, -0.8), OUProcess(1.0, -0.5)
-    return BandLimitedProcess(), BandLimitedProcess()
+# SimConfig's process field for each OU spec field, and the drift it takes when not given;
+# --process band and a spec without OU fields keep SimConfig's band-limited processes
+_OU_PROCESSES = {"ou_eps": ("eps_process", -0.8), "ou_u": ("u_process", -0.5)}
+
+
+def _config(cls, args, **fields):
+    """``cls`` built from the flags given on the command line; the others take its defaults."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **fields)
 
 
 def _parse_threshold(text: str):
@@ -135,58 +138,40 @@ def _parse_threshold(text: str):
 
 
 def cmd_simulate(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**63))
-        print(f"seed not given; using seed={seed}")
-    eps_p, u_p = _processes_from_flags(args.process)
-    config = SimConfig(
-        n=args.n,
-        d=args.d,
-        beta=args.beta,
-        horizon=args.horizon,
-        sigma_eta2=args.sigma2,
-        conf_prob=args.conf_prob,
-        eps_process=eps_p,
-        u_process=u_p,
-        basis_kind=BasisKind(args.basis),
-        dense_u_noise_std=args.dense_u_noise,
-        seed=seed,
-    )
+    if "seed" not in args:
+        args.seed = int(np.random.SeedSequence().entropy % (2**63))
+        print(f"seed not given; using seed={args.seed}")
+    processes = {}
+    if args.process == "ou":
+        processes = {field: OUProcess(drift=drift) for field, drift in _OU_PROCESSES.values()}
+    config = _config(SimConfig, args, **processes)
     x, y, truth = generate(config)
-    t = np.arange(1, args.n + 1) * (args.horizon / args.n)
+    t = np.arange(1, config.n + 1) * (config.horizon / config.n)
     write_series_csv(args.out, t, x, y)
     truth_path = args.truth or (args.out + ".truth.json")
     truth_doc = {
         "schema_version": SCHEMA_VERSION,
-        "seed": seed,
-        "n": args.n,
-        "d": args.d,
+        "seed": config.seed,
+        "n": config.n,
+        "d": config.d,
         "beta": [float(b) for b in truth.beta],
         "g_set": [int(k) for k in truth.g_set],
-        "conf_prob": args.conf_prob,
-        "sigma_eta2": args.sigma2,
-        "basis": args.basis,
+        "conf_prob": config.conf_prob,
+        "sigma_eta2": config.sigma_eta2,
+        "basis": config.basis_kind.value,
         "process": args.process,
     }
     with open(truth_path, "w", encoding="utf-8") as fh:
         json.dump(truth_doc, fh, indent=2)
         fh.write("\n")
-    print(f"wrote {args.out} ({args.n} rows) and {truth_path}")
-    print(f"confounded frequencies |G| = {len(truth.g_set)}, seed = {seed}")
+    print(f"wrote {args.out} ({config.n} rows) and {truth_path}")
+    print(f"confounded frequencies |G| = {len(truth.g_set)}, seed = {config.seed}")
     return EXIT_OK
 
 
 def _fit_from_args(args):
     _, x, y = read_series_csv(args.input)
-    config = DecorConfig(
-        basis_kind=BasisKind(args.basis),
-        method=Method(args.method),
-        a=args.a,
-        max_iter=args.max_iter,
-        bfs_cap=args.bfs_cap,
-    )
-    return decor_fit(x, y, config), y
+    return decor_fit(x, y, _config(DecorConfig, args)), y
 
 
 def cmd_fit(args) -> int:
@@ -207,28 +192,16 @@ def cmd_deconfound(args) -> int:
     n = len(y)
     t = np.arange(1, n + 1) * (args.horizon / n)
     fitted_path = f"{args.out}_fitted.csv"
-    with open(fitted_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,fitted,residual\n")
-        for i in range(n):
-            fh.write(
-                f"{float(t[i])!r},{float(est.fitted_time_domain[i])!r},"
-                f"{float(est.residuals_time_domain[i])!r}\n"
-            )
+    columns = [t, est.fitted_time_domain, est.residuals_time_domain]
+    _write_columns(fitted_path, ["t", "fitted", "residual"], columns)
     excluded_path = f"{args.out}_excluded.csv"
     with open(excluded_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k\n")
-        for k in est.excluded_frequencies:
-            fh.write(f"{int(k)}\n")
+        fh.writelines(f"{k}\n" for k in ["k", *est.excluded_frequencies.tolist()])
     summary_path = f"{args.out}_summary.json"
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "beta": [float(b) for b in np.atleast_1d(est.beta)],
-        "r_squared": est.r_squared,
-        "iterations": est.iterations,
-        "converged": est.converged,
-        "method": est.method.value,
-        "n_excluded": int(len(est.excluded_frequencies)),
-    }
+    doc = est.to_json_dict()
+    keys = ("schema_version", "beta", "r_squared", "iterations", "converged", "method")
+    summary = {key: doc[key] for key in keys}
+    summary["n_excluded"] = len(doc["excluded_frequencies"])
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -254,9 +227,9 @@ def cmd_check_basis(args) -> int:
 def cmd_experiment(args) -> int:
     spec = load_experiment_spec(args.spec)
     rows, records = run_experiment(spec)
-    write_result_rows(args.out, rows)
+    write_rows(args.out, RESULT_CSV_HEADER, rows)
     records_path = args.records_out or (args.out + ".replicates.csv")
-    write_replicate_records(records_path, records)
+    write_rows(records_path, RECORD_CSV_HEADER, records)
     for r in rows:
         print(
             f"n={r.n} method={r.method} mae={r.mae:.4f} stderr={r.mae_stderr:.4f} "
@@ -269,26 +242,93 @@ def cmd_experiment(args) -> int:
 # ------------------------------------------------------- experiment spec JSON
 
 
+_PROCESSES = ("band", "ou")
+_BASES = [k.value for k in BasisKind]
+_METHODS = [m.value for m in Method]
+
+# The fields of each spec object and their types; ``float`` takes any number as a float.
+_SPEC_FIELDS = {
+    "schema_version": str, "sim": dict, "n_grid": list, "methods": list,
+    "replicates": int, "seed_base": int,
+}
+_SIM_FIELDS = {
+    "process": str, "basis": str, "d": int, "beta": (float, list[float]), "horizon": float,
+    "sigma_eta2": float, "conf_prob": float, "dense_u_noise_std": float,
+    "band_support": list[int], "coeff_std": float, "ou_eps": dict, "ou_u": dict,
+}
+_OU_FIELDS = {"sigma": float, "drift": float}
+_METHOD_FIELDS = {"method": str, "a": (int, float), "max_iter": int, "bfs_cap": int}
+# the process each process-specific /sim field belongs to
+_PROCESS_OF = {"band_support": "band", "coeff_std": "band", "ou_eps": "ou", "ou_u": "ou"}
+
+
 def _spec_error(pointer: str, message: str):
     raise InputFormatError(f"experiment spec {pointer}: {message}")
 
 
-def _expect(doc, pointer, key, types, default=None, required=False):
-    if key not in doc:
-        if required:
+def _typed(pointer, value, kind):
+    """``value`` if it has type ``kind``, a type or a tuple of types; a bool is never a number."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in () if isinstance(value, bool) else kinds:
+        if k is float and isinstance(value, int):
+            return float(value)
+        if isinstance(value, typing.get_origin(k) or k):
+            items = typing.get_args(k)
+            if items:
+                return [_typed(f"{pointer}/{i}", v, items[0]) for i, v in enumerate(value)]
+            return value
+    accepted = ((int, float) if k is float else (typing.get_origin(k) or k,) for k in kinds)
+    expected = "/".join(dict.fromkeys(t.__name__ for group in accepted for t in group))
+    _spec_error(pointer, f"expected {expected}, got {type(value).__name__}")
+
+
+def _fields(doc, pointer, table, required=()) -> dict:
+    """The fields of the object ``doc``, each checked against its type in ``table``."""
+    for key in required:
+        if key not in doc:
             _spec_error(f"{pointer}/{key}", "missing required field")
-        return default
-    value = doc[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        names = "/".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-        _spec_error(f"{pointer}/{key}", f"expected {names}, got {type(value).__name__}")
+    for key in doc:
+        if key not in table:
+            _spec_error(f"{pointer}/{key}", "unknown field")
+    return {key: _typed(f"{pointer}/{key}", value, table[key]) for key, value in doc.items()}
+
+
+def _choice(pointer, value, choices):
+    """``value`` if it is one of ``choices``; the message lists them all."""
+    if value not in choices:
+        quoted = [repr(c) for c in choices]
+        _spec_error(pointer, f"expected {', '.join(quoted[:-1])} or {quoted[-1]}")
     return value
+
+
+def _sim_config(doc, n) -> SimConfig:
+    """The ``/sim`` object as a SimConfig at the template size ``n``."""
+    sim = _fields(doc, "/sim", _SIM_FIELDS)
+    process = _choice("/sim/process", sim.pop("process", "band"), _PROCESSES)
+    if "basis" in sim:
+        sim["basis_kind"] = _choice("/sim/basis", sim.pop("basis"), _BASES)
+    for key in sim:
+        if _PROCESS_OF.get(key, process) != process:
+            _spec_error(f"/sim/{key}", f"applies only to process {_PROCESS_OF[key]!r}")
+    try:
+        if process == "ou":
+            for key, (field, drift) in _OU_PROCESSES.items():
+                ou = _fields(sim.pop(key, {"drift": drift}), f"/sim/{key}", _OU_FIELDS, ("drift",))
+                sim[field] = OUProcess(**ou)
+        else:
+            band = {k.removeprefix("band_"): sim.pop(k) for k in _PROCESS_OF if k in sim}
+            if band:
+                sim["eps_process"] = sim["u_process"] = BandLimitedProcess(**band)
+        return SimConfig(n=n, **sim)
+    except ConfigurationError as e:
+        _spec_error("/sim", str(e))
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
     """Parse and validate an experiment spec JSON file.
 
-    Errors carry a JSON-pointer-style location, e.g. ``/methods/0/a``.
+    Fields left out take the defaults of the config classes.  Errors carry a
+    JSON-pointer-style location, e.g. ``/methods/0/a``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -297,97 +337,29 @@ def load_experiment_spec(path) -> ExperimentSpec:
         raise InputFormatError(f"experiment spec {path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):
         _spec_error("", "top level must be an object")
-
-    n_grid = _expect(doc, "", "n_grid", list, required=True)
-    if not n_grid:
+    spec = _fields(doc, "", _SPEC_FIELDS, ("n_grid", "sim", "methods"))
+    if spec.pop("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        _spec_error("/schema_version", f"expected {SCHEMA_VERSION!r}")
+    if not spec["n_grid"]:
         _spec_error("/n_grid", "need at least one sample size")
-    for i, n in enumerate(n_grid):
+    for i, n in enumerate(spec["n_grid"]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             _spec_error(f"/n_grid/{i}", "expected a positive integer")
-
-    sim_doc = _expect(doc, "", "sim", dict, required=True)
-    pointer = "/sim"
-    process = _expect(sim_doc, pointer, "process", str, default="band")
-    if process not in ("band", "ou"):
-        _spec_error(f"{pointer}/process", "expected 'band' or 'ou'")
-    basis = _expect(sim_doc, pointer, "basis", str, default="cosine")
-    if basis not in ("cosine", "haar"):
-        _spec_error(f"{pointer}/basis", "expected 'cosine' or 'haar'")
-    eps_p, u_p = _processes_from_flags(process)
-    if process == "band":
-        support = _expect(sim_doc, pointer, "band_support", list)
-        coeff_std = _expect(sim_doc, pointer, "coeff_std", (int, float), default=1.0)
-        sup = tuple(int(k) for k in support) if support is not None else None
-        eps_p = BandLimitedProcess(support=sup, coeff_std=float(coeff_std))
-        u_p = BandLimitedProcess(support=sup, coeff_std=float(coeff_std))
-    else:
-        for key, default_p in (("ou_eps", eps_p), ("ou_u", u_p)):
-            sub = _expect(sim_doc, pointer, key, dict)
-            if sub is not None:
-                sigma = _expect(sub, f"{pointer}/{key}", "sigma", (int, float), default=1.0)
-                drift = _expect(sub, f"{pointer}/{key}", "drift", (int, float), required=True)
-                if key == "ou_eps":
-                    eps_p = OUProcess(float(sigma), float(drift))
-                else:
-                    u_p = OUProcess(float(sigma), float(drift))
-    beta = _expect(sim_doc, pointer, "beta", (int, float, list), default=3.0)
-    if isinstance(beta, list):
-        beta = tuple(float(b) for b in beta)
-    try:
-        sim = SimConfig(
-            n=int(n_grid[0]),  # template only; overridden per grid entry
-            d=_expect(sim_doc, pointer, "d", int, default=1),
-            beta=beta,
-            horizon=float(_expect(sim_doc, pointer, "horizon", (int, float), default=1.0)),
-            sigma_eta2=float(_expect(sim_doc, pointer, "sigma_eta2", (int, float), default=1.0)),
-            conf_prob=float(_expect(sim_doc, pointer, "conf_prob", (int, float), default=0.25)),
-            eps_process=eps_p,
-            u_process=u_p,
-            basis_kind=BasisKind(basis),
-            dense_u_noise_std=float(
-                _expect(sim_doc, pointer, "dense_u_noise_std", (int, float), default=0.0)
-            ),
-        )
-    except ConfigurationError as e:
-        _spec_error(pointer, str(e))
-
-    methods_doc = _expect(doc, "", "methods", list, required=True)
-    if not methods_doc:
+    spec["sim"] = _sim_config(spec["sim"], spec["n_grid"][0])
+    if not spec["methods"]:
         _spec_error("/methods", "need at least one method")
-    methods = []
-    for i, m in enumerate(methods_doc):
-        mp = f"/methods/{i}"
-        if not isinstance(m, dict):
-            _spec_error(mp, "expected an object")
-        name = _expect(m, mp, "method", str, required=True)
-        if name not in ("torrent", "bfs", "olsbaseline"):
-            _spec_error(f"{mp}/method", "expected 'torrent', 'bfs' or 'olsbaseline'")
-        a = _expect(m, mp, "a", (int, float), default=0.7)
-        max_iter = _expect(m, mp, "max_iter", int, default=100)
-        bfs_cap = _expect(m, mp, "bfs_cap", int, default=10_000_000)
+    for i, method in enumerate(spec["methods"]):
+        pointer = f"/methods/{i}"
+        if not isinstance(method, dict):
+            _spec_error(pointer, "expected an object")
+        method = _fields(method, pointer, _METHOD_FIELDS, ("method",))
+        _choice(f"{pointer}/method", method["method"], _METHODS)
         try:
-            methods.append(
-                DecorConfig(
-                    basis_kind=BasisKind(basis),
-                    method=Method(name),
-                    a=a,
-                    max_iter=max_iter,
-                    bfs_cap=bfs_cap,
-                )
-            )
+            spec["methods"][i] = DecorConfig(basis_kind=spec["sim"].basis_kind, **method)
         except ValueError as e:
-            _spec_error(mp, str(e))
-
-    replicates = _expect(doc, "", "replicates", int, default=1000)
-    seed_base = _expect(doc, "", "seed_base", int, default=0)
+            _spec_error(pointer, str(e))
     try:
-        return ExperimentSpec(
-            sim=sim,
-            n_grid=tuple(n_grid),
-            methods=tuple(methods),
-            replicates=replicates,
-            seed_base=seed_base,
-        )
+        return ExperimentSpec(**spec)
     except ValueError as e:
         _spec_error("", str(e))
 
@@ -397,17 +369,16 @@ def load_experiment_spec(path) -> ExperimentSpec:
 
 def _add_common_fit_flags(p):
     p.add_argument("--input", required=True, help="input data CSV (t,x_1..x_d,y)")
-    p.add_argument("--method", choices=[m.value for m in Method], default="torrent")
-    p.add_argument("--basis", choices=[k.value for k in BasisKind], default="cosine")
+    p.add_argument("--method", choices=_METHODS)
+    p.add_argument("--basis", dest="basis_kind", choices=_BASES)
     p.add_argument(
         "--a",
         type=_parse_threshold,
-        default=0.7,
         help="inlier threshold: an integer is a count of rows (1 keeps one), any other "
-        "number a fraction in (0,1] (1.0 keeps all) (default 0.7)",
+        f"number a fraction in (0,1] (1.0 keeps all) (default {DecorConfig.a})",
     )
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--bfs-cap", type=int, default=10_000_000)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--bfs-cap", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,28 +388,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a flag not given is left out of args, so the config class supplies its default
+    config_flags = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("simulate", help="generate a synthetic confounded instance")
-    p.add_argument("--process", choices=["band", "ou"], default="band")
-    p.add_argument("--basis", choices=[k.value for k in BasisKind], default="cosine")
+    p = sub.add_parser("simulate", help="generate a synthetic confounded instance", **config_flags)
+    p.add_argument("--process", choices=_PROCESSES, default="band")
+    p.add_argument("--basis", dest="basis_kind", choices=_BASES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--beta", type=float, default=3.0)
-    p.add_argument("--sigma2", type=float, default=1.0, help="variance of the response noise")
-    p.add_argument("--conf-prob", type=float, default=0.25)
-    p.add_argument("--dense-u-noise", type=float, default=0.0)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--d", type=int)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--sigma2", dest="sigma_eta2", type=float, help="response noise variance")
+    p.add_argument("--conf-prob", type=float)
+    p.add_argument("--dense-u-noise", dest="dense_u_noise_std", type=float)
+    p.add_argument("--horizon", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output data CSV path")
     p.add_argument("--truth", default=None, help="ground-truth JSON path (default: <out>.truth.json)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="estimate the causal coefficient from a CSV")
+    p = sub.add_parser("fit", help="estimate the causal coefficient from a CSV", **config_flags)
     _add_common_fit_flags(p)
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("deconfound", help="fit and write the deconfounding report bundle")
+    p = sub.add_parser(
+        "deconfound", help="fit and write the deconfounding report bundle", **config_flags
+    )
     _add_common_fit_flags(p)
     p.add_argument("--out", required=True, help="output path prefix")
     p.add_argument("--horizon", type=float, default=1.0, help="length of the t column's window")

@@ -154,15 +154,7 @@ def decor_fit(
         sets = robust.candidate_sets_all_of_size(n, size, cap=config.bfs_cap)
         fit = robust.bfs(problem, sets)
     else:
-        beta = robust.ols(problem)
-        fit = robust.RobustFit(
-            beta=beta,
-            inliers=np.arange(1, n + 1),
-            iterations=0,
-            residual_norm=float(np.linalg.norm(y_freq - x_freq @ beta)),
-            converged=True,
-            method="OLS",
-        )
+        fit = robust._fit_result(problem, robust.ols(problem), np.arange(1, n + 1), "OLS")
 
     excluded = np.setdiff1d(np.arange(1, n + 1), fit.inliers)
     x_freq_clean = x_freq.copy()
@@ -174,7 +166,7 @@ def decor_fit(
     return DecorEstimate(
         beta=fit.beta,
         excluded_frequencies=excluded,
-        inliers=np.sort(fit.inliers),
+        inliers=fit.inliers,
         iterations=fit.iterations,
         fitted_time_domain=fitted,
         residuals_time_domain=residuals,

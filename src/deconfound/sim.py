@@ -38,9 +38,9 @@ class OUProcess:
     drift: float = -0.8
 
     def __post_init__(self):
-        if self.sigma <= 0:
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ConfigurationError(f"OU sigma must be positive, got {self.sigma}")
-        if self.drift >= 0:
+        if not (self.drift < 0 and math.isfinite(self.drift)):
             raise ConfigurationError(
                 f"OU drift must be negative (mean reversion), got {self.drift}"
             )
@@ -62,7 +62,7 @@ class BandLimitedProcess:
     coeff_std: float = 1.0
 
     def __post_init__(self):
-        if self.coeff_std <= 0:
+        if not (self.coeff_std > 0 and math.isfinite(self.coeff_std)):
             raise ConfigurationError(
                 f"coefficient std must be positive, got {self.coeff_std}"
             )
@@ -106,21 +106,23 @@ class SimConfig:
             raise ConfigurationError(f"n must be positive, got {self.n}")
         if self.d < 1:
             raise ConfigurationError(f"d must be positive, got {self.d}")
-        if self.horizon <= 0:
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
         if not 0.0 <= self.conf_prob <= 1.0:
             raise ConfigurationError(
                 f"conf_prob must lie in [0, 1], got {self.conf_prob}"
             )
-        if self.sigma_eta2 < 0:
+        if not (self.sigma_eta2 >= 0 and math.isfinite(self.sigma_eta2)):
             raise ConfigurationError(
                 f"sigma_eta2 must be non-negative, got {self.sigma_eta2}"
             )
-        if self.dense_u_noise_std < 0:
+        if not (self.dense_u_noise_std >= 0 and math.isfinite(self.dense_u_noise_std)):
             raise ConfigurationError("dense_u_noise_std must be non-negative")
         object.__setattr__(self, "basis_kind", BasisKind(self.basis_kind))
         if not isinstance(self.beta, (int, float)):
             object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        if not np.isfinite(self.beta_vector()).all():
+            raise ConfigurationError(f"beta must be finite, got {self.beta}")
 
     def beta_vector(self) -> np.ndarray:
         if isinstance(self.beta, (int, float)):

@@ -9,6 +9,7 @@ import pytest
 
 from deconfound import (
     AblationKind,
+    ConfigurationError,
     DecorConfig,
     ExperimentSpec,
     Method,
@@ -24,8 +25,7 @@ from deconfound.bench import (
     RECORD_CSV_HEADER,
     RESULT_CSV_HEADER,
     method_labels,
-    write_replicate_records,
-    write_result_rows,
+    write_rows,
 )
 
 
@@ -166,7 +166,7 @@ class TestCsvOutput:
     def test_result_rows_round_trip(self, tmp_path):
         rows, recs = run_experiment(small_spec(replicates=5))
         path = tmp_path / "rows.csv"
-        write_result_rows(path, rows)
+        write_rows(path, RESULT_CSV_HEADER, rows)
         with open(path) as fh:
             lines = fh.read().splitlines()
         assert lines[0] == RESULT_CSV_HEADER
@@ -177,7 +177,7 @@ class TestCsvOutput:
     def test_record_rows_header(self, tmp_path):
         rows, recs = run_experiment(small_spec(replicates=5))
         path = tmp_path / "recs.csv"
-        write_replicate_records(path, recs)
+        write_rows(path, RECORD_CSV_HEADER, recs)
         with open(path) as fh:
             first = fh.readline().strip()
         assert first == RECORD_CSV_HEADER
@@ -185,3 +185,35 @@ class TestCsvOutput:
     def test_grid_must_be_sorted(self):
         with pytest.raises(ValueError):
             small_spec(n_grid=(16, 8))
+
+    @pytest.mark.parametrize("n_grid, named", [((0, 8), "n=0"), ((8, 12), "n=12")])
+    def test_grid_sizes_checked_against_the_basis(self, n_grid, named):
+        with pytest.raises(ConfigurationError, match=named):
+            small_spec(sim=SimConfig(n=8, basis_kind="haar"), n_grid=n_grid)
+
+    def test_bytes_match_field_by_field_reference(self, tmp_path):
+        # the writers as they were before one generic writer replaced them
+        def reference(rows, recs):
+            text = RESULT_CSV_HEADER + "\n"
+            for r in rows:
+                text += (
+                    f"{r.n},{r.method},{r.sigma_eta2!r},{r.conf_prob!r},{r.mae!r},"
+                    f"{r.mae_stderr!r},{r.mean_iterations!r},{r.max_iterations},"
+                    f"{r.replicates_failed}\n"
+                )
+            text += RECORD_CSV_HEADER + "\n"
+            for r in recs:
+                text += (
+                    f"{r.n},{r.method},{r.sigma_eta2!r},{r.conf_prob!r},{r.replicate},"
+                    f"{r.abs_error!r},{r.iterations},{int(r.failed)}\n"
+                )
+            return text
+
+        # a BFS cell over its cap fails every replicate: NaN errors and failed = 1
+        methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5, bfs_cap=10))
+        rows, recs = run_experiment(small_spec(methods=methods, replicates=3))
+        assert any(r.failed for r in recs) and not all(r.failed for r in recs)
+        write_rows(tmp_path / "rows.csv", RESULT_CSV_HEADER, rows)
+        write_rows(tmp_path / "recs.csv", RECORD_CSV_HEADER, recs)
+        written = (tmp_path / "rows.csv").read_bytes() + (tmp_path / "recs.csv").read_bytes()
+        assert written == reference(rows, recs).encode()

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,218 @@ class TestExperiment:
             assert spec.n_grid == (8, 12, 16)
             assert spec.replicates == 1000
             assert len(spec.methods) == 3
+
+
+
+def _spec(**top):
+    """A valid one-cell spec with the top-level fields of ``top`` replaced (None drops one)."""
+    doc = {"sim": {}, "n_grid": [8], "methods": [{"method": "torrent"}]}
+    doc.update(top)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+def _sim(**fields):
+    return _spec(sim=fields)
+
+
+def _method(**fields):
+    return _spec(methods=[{"method": "torrent", **fields}])
+
+
+def _ou(**fields):
+    return _sim(process="ou", **fields)
+
+
+SPEC_ERRORS = {
+    "top level not an object": ([1], " : top level must be an object"),
+    "missing n_grid": (_spec(n_grid=None), " /n_grid: missing required field"),
+    "missing sim": (_spec(sim=None), " /sim: missing required field"),
+    "missing methods": (_spec(methods=None), " /methods: missing required field"),
+    "missing method": (_spec(methods=[{"a": 0.5}]), " /methods/0/method: missing required field"),
+    "missing ou drift": (_ou(ou_eps={"sigma": 1.0}), " /sim/ou_eps/drift: missing required field"),
+    "n_grid zero": (_spec(n_grid=[8, 0]), " /n_grid/1: expected a positive integer"),
+    "n_grid str": (_spec(n_grid=["x"]), " /n_grid/0: expected a positive integer"),
+    "n_grid bool": (_spec(n_grid=[True]), " /n_grid/0: expected a positive integer"),
+    "n_grid float": (_spec(n_grid=[8.0]), " /n_grid/0: expected a positive integer"),
+    "n_grid empty": (_spec(n_grid=[]), " /n_grid: need at least one sample size"),
+    "n_grid unsorted": (_spec(n_grid=[16, 8]), " : n_grid must be sorted ascending"),
+    "process": (_sim(process="gauss"), " /sim/process: expected 'band' or 'ou'"),
+    "basis": (_sim(basis="fourier"), " /sim/basis: expected 'cosine' or 'haar'"),
+    "type n_grid": (_spec(n_grid=8), " /n_grid: expected list, got int"),
+    "type sim": (_spec(sim=[]), " /sim: expected dict, got list"),
+    "type methods": (_spec(methods={}), " /methods: expected list, got dict"),
+    "type replicates": (_spec(replicates=1.5), " /replicates: expected int, got float"),
+    "type replicates bool": (_spec(replicates=True), " /replicates: expected int, got bool"),
+    "type seed_base": (_spec(seed_base="0"), " /seed_base: expected int, got str"),
+    "type process": (_sim(process=1), " /sim/process: expected str, got int"),
+    "type basis": (_sim(basis=None), " /sim/basis: expected str, got NoneType"),
+    "type d": (_sim(d=1.0), " /sim/d: expected int, got float"),
+    "type beta": (_sim(beta="3"), " /sim/beta: expected int/float/list, got str"),
+    "type horizon": (_sim(horizon="1"), " /sim/horizon: expected int/float, got str"),
+    "type sigma_eta2": (_sim(sigma_eta2=True), " /sim/sigma_eta2: expected int/float, got bool"),
+    "type conf_prob": (_sim(conf_prob=[0.25]), " /sim/conf_prob: expected int/float, got list"),
+    "type dense_u_noise_std": (
+        _sim(dense_u_noise_std=None), " /sim/dense_u_noise_std: expected int/float, got NoneType"
+    ),
+    "type band_support": (_sim(band_support=5), " /sim/band_support: expected list, got int"),
+    "type coeff_std": (_sim(coeff_std="1"), " /sim/coeff_std: expected int/float, got str"),
+    "type ou_eps": (_ou(ou_eps=[]), " /sim/ou_eps: expected dict, got list"),
+    "type ou_u": (_ou(ou_u=1), " /sim/ou_u: expected dict, got int"),
+    "type ou sigma": (
+        _ou(ou_eps={"sigma": "1", "drift": -1}), " /sim/ou_eps/sigma: expected int/float, got str"
+    ),
+    "type ou drift": (_ou(ou_u={"drift": "x"}), " /sim/ou_u/drift: expected int/float, got str"),
+    "type method": (_spec(methods=[{"method": 1}]), " /methods/0/method: expected str, got int"),
+    "type a": (_method(a="0.7"), " /methods/0/a: expected int/float, got str"),
+    "type max_iter": (_method(max_iter=10.0), " /methods/0/max_iter: expected int, got float"),
+    "type bfs_cap": (_method(bfs_cap=True), " /methods/0/bfs_cap: expected int, got bool"),
+    "method not an object": (_spec(methods=["torrent"]), " /methods/0: expected an object"),
+    "method name": (
+        _spec(methods=[{"method": "huber"}]),
+        " /methods/0/method: expected 'torrent', 'bfs' or 'olsbaseline'",
+    ),
+    "methods empty": (_spec(methods=[]), " /methods: need at least one method"),
+    "DecorConfig a": (
+        _method(a=0), " /methods/0: a must be a fraction in (0,1] or a positive count, got 0"
+    ),
+    "DecorConfig max_iter": (_method(max_iter=0), " /methods/0: max_iter must be >= 1"),
+    "SimConfig": (_sim(conf_prob=2), " /sim: conf_prob must lie in [0, 1], got 2.0"),
+    "ExperimentSpec": (_spec(replicates=0), " : replicates must be >= 1"),
+}
+
+NEW_SPEC_ERRORS = {
+    "unknown field": (_spec(replicate=5), " /replicate: unknown field"),
+    "unknown sim field": (_sim(sigma_eta=0.5), " /sim/sigma_eta: unknown field"),
+    "unknown method field": (_method(alpha=0.5), " /methods/0/alpha: unknown field"),
+    "unknown ou field": (_ou(ou_u={"drift": -1, "mu": 0}), " /sim/ou_u/mu: unknown field"),
+    "ou field with band": (
+        _sim(ou_eps={"drift": -1}), " /sim/ou_eps: applies only to process 'ou'"
+    ),
+    "band field with ou": (_ou(coeff_std=2.0), " /sim/coeff_std: applies only to process 'band'"),
+    "schema_version": (_spec(schema_version="2"), " /schema_version: expected '1'"),
+    "schema_version type": (_spec(schema_version=1), " /schema_version: expected str, got int"),
+    "band_support float": (
+        _sim(band_support=[1.5, 3.9]), " /sim/band_support/0: expected int, got float"
+    ),
+    "band_support bool": (_sim(band_support=[2, True]), " /sim/band_support/1: expected int, got bool"),
+    "beta str": (_sim(beta=["x"]), " /sim/beta/0: expected int/float, got str"),
+    "beta bool": (_sim(beta=[True]), " /sim/beta/0: expected int/float, got bool"),
+    "coeff_std": (_sim(coeff_std=0), " /sim: coefficient std must be positive, got 0.0"),
+    "ou sigma": (_ou(ou_eps={"sigma": -1, "drift": -1}), " /sim: OU sigma must be positive, got -1.0"),
+    "sigma_eta2 nan": (_sim(sigma_eta2=float("nan")), " /sim: sigma_eta2 must be non-negative, got nan"),
+}
+
+
+class TestSpecErrors:
+    """Every spec error path exits 2 with one stderr line naming a JSON pointer."""
+
+    def run_spec(self, tmp_path, capsys, doc):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        out = tmp_path / "o.csv"
+        code = run_cli("experiment", "--spec", spec_path, "--out", out)
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", SPEC_ERRORS.values(), ids=SPEC_ERRORS)
+    def test_error_line(self, tmp_path, capsys, doc, message):
+        assert self.run_spec(tmp_path, capsys, doc) == (2, f"error: experiment spec{message}\n")
+
+    def test_invalid_json(self, tmp_path, capsys):
+        code, err = self.run_spec(tmp_path, capsys, "not json")
+        assert (code, err) == (
+            2,
+            f"error: experiment spec {tmp_path / 'spec.json'}: invalid JSON "
+            "(Expecting value: line 1 column 1 (char 0))\n",
+        )
+
+    @pytest.mark.parametrize("doc, message", NEW_SPEC_ERRORS.values(), ids=NEW_SPEC_ERRORS)
+    def test_rejected_at_load(self, tmp_path, capsys, doc, message):
+        assert self.run_spec(tmp_path, capsys, doc) == (2, f"error: experiment spec{message}\n")
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _sim(beta=math.nan), _sim(beta=[1, math.inf]), _sim(horizon=math.inf),
+            _sim(sigma_eta2=-math.inf), _sim(conf_prob=math.nan),
+            _sim(dense_u_noise_std=math.nan), _sim(coeff_std=math.inf),
+            _ou(ou_eps={"sigma": math.nan, "drift": -1}), _ou(ou_u={"drift": -math.inf}),
+            _method(a=math.nan), _method(a=math.inf),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, doc):
+        code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2 and err.startswith("error: experiment spec /")
+
+    def test_haar_grid_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch):
+        from deconfound import bench
+
+        def no_generate(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "generate", no_generate)
+        doc = _spec(sim={"basis": "haar"}, n_grid=[8, 12], replicates=2)
+        code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2
+        assert err.startswith("error: experiment spec : ") and "n=12" in err
+
+
+class TestConfigDefaults:
+    """Values not given on the command line or in a spec are the config classes' defaults."""
+
+    def test_minimal_spec(self, tmp_path):
+        from deconfound import DecorConfig, ExperimentSpec, SimConfig
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(_spec(methods=[{"method": "bfs"}])))
+        spec = load_experiment_spec(spec_path)
+        assert spec.sim == SimConfig(n=8)
+        assert spec.methods == (DecorConfig(method="bfs"),)
+        assert spec == ExperimentSpec(sim=SimConfig(n=8), n_grid=(8,), methods=spec.methods)
+
+    def test_spec_values_reach_the_configs(self, tmp_path):
+        from deconfound import BandLimitedProcess, OUProcess
+
+        spec_path = tmp_path / "spec.json"
+        doc = _spec(sim={"band_support": [1, 3], "coeff_std": 2, "beta": [1, 2], "d": 2})
+        spec_path.write_text(json.dumps(doc))
+        sim = load_experiment_spec(spec_path).sim
+        assert sim.eps_process == sim.u_process == BandLimitedProcess((1, 3), 2.0)
+        assert sim.beta == (1.0, 2.0) and sim.d == 2
+        spec_path.write_text(json.dumps(_ou(ou_u={"drift": -2}, horizon=3)))
+        sim = load_experiment_spec(spec_path).sim
+        assert (sim.eps_process, sim.u_process) == (OUProcess(drift=-0.8), OUProcess(drift=-2.0))
+        assert sim.horizon == 3.0 and isinstance(sim.horizon, float)
+
+    def test_fit_without_optional_flags(self, sim_csv, monkeypatch):
+        from deconfound import DecorConfig, cli
+
+        configs = []
+        real_fit = cli.decor_fit
+        monkeypatch.setattr(cli, "decor_fit", lambda x, y, c: configs.append(c) or real_fit(x, y, c))
+        assert run_cli("fit", "--input", sim_csv, "--out", sim_csv.parent / "e.json") == 0
+        assert run_cli("fit", "--input", sim_csv, "--a", "5", "--max-iter", "9", "--bfs-cap", "7",
+                       "--basis", "haar", "--method", "bfs", "--out", sim_csv.parent / "f.json") == 4
+        assert configs == [
+            DecorConfig(),
+            DecorConfig(basis_kind="haar", method="bfs", a=5, max_iter=9, bfs_cap=7),
+        ]
+
+    def test_simulate_without_optional_flags(self, tmp_path, monkeypatch):
+        from deconfound import SimConfig, cli
+
+        configs = []
+        real_generate = cli.generate
+        monkeypatch.setattr(cli, "generate", lambda c: configs.append(c) or real_generate(c))
+        assert run_cli("simulate", "--n", "16", "--seed", "4", "--out", tmp_path / "s.csv") == 0
+        assert configs == [SimConfig(n=16, seed=4)]
+
+    def test_simulate_rejects_nan(self, tmp_path, capsys):
+        out = tmp_path / "nan.csv"
+        assert run_cli("simulate", "--n", "16", "--sigma2", "nan", "--out", out) == 2
+        assert "sigma_eta2 must be non-negative, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 """Process samplers and the confounded-instance generator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,3 +258,34 @@ class TestGenerate:
     def test_beta_vector_shape_checked(self):
         with pytest.raises(ConfigurationError):
             SimConfig(n=8, d=2, beta=(1.0, 2.0, 3.0)).beta_vector()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("sigma_eta2", math.nan, "sigma_eta2 must be non-negative, got nan"),
+            ("sigma_eta2", math.inf, "sigma_eta2 must be non-negative, got inf"),
+            ("dense_u_noise_std", math.nan, "dense_u_noise_std must be non-negative"),
+            ("horizon", math.inf, "horizon must be positive, got inf"),
+            ("horizon", math.nan, "horizon must be positive, got nan"),
+            ("beta", math.nan, "beta must be finite, got nan"),
+            ("beta", (1.0, math.inf), "beta must be finite, got (1.0, inf)"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            SimConfig(n=8, d=2, **{field: value})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: OUProcess(sigma=math.nan),
+            lambda: OUProcess(sigma=math.inf),
+            lambda: OUProcess(drift=math.nan),
+            lambda: OUProcess(drift=-math.inf),
+            lambda: BandLimitedProcess(coeff_std=math.nan),
+            lambda: BandLimitedProcess(coeff_std=math.inf),
+        ],
+    )
+    def test_non_finite_process_parameters_rejected(self, make):
+        with pytest.raises(ConfigurationError):
+            make()
