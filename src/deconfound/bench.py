@@ -18,6 +18,7 @@ import numpy as np
 from .basis import build_basis
 from .errors import FeasibilityError
 from .pipeline import DecorConfig, Method, decor_fit
+from .robust import resolve_count
 from .sim import SimConfig, generate, make_rng
 
 RESULT_CSV_HEADER = "n,method,sigma_eta2,conf_prob,mae,mae_stderr,mean_iter,max_iter,failed"
@@ -48,6 +49,22 @@ class ExperimentSpec:
             raise ValueError("replicates must be >= 1")
         for n in grid:
             build_basis(self.sim.basis_kind, n)
+        # every size below must fit the smallest grid entry, so no cell fails on it mid-run
+        n = grid[0]
+        if self.sim.d > n:
+            raise ValueError(f"sim.d = {self.sim.d} exceeds the smallest grid size n={n}")
+        for i, cfg in enumerate(self.methods):
+            if cfg.method is not Method.OLS_BASELINE:
+                try:
+                    resolve_count(cfg.a, n)
+                except ValueError as e:
+                    raise ValueError(f"methods[{i}].a at the smallest grid size n={n}: {e}") from None
+        for name in ("eps_process", "u_process"):
+            support = getattr(getattr(self.sim, name), "support", None)
+            if support and max(support) > n:
+                raise ValueError(
+                    f"sim.{name} band support index {max(support)} exceeds the smallest grid size n={n}"
+                )
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
 

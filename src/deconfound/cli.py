@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import typing
@@ -71,32 +72,37 @@ def read_series_csv(path):
                 f"{path}: covariate columns must be named {','.join(expected)}, "
                 f"got {','.join(x_names) or '(none)'}"
             )
-        d = len(x_names)
-        t_vals, x_vals, y_vals = [], [], []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+        rows = list(reader)
+    body_rows = [row for row in rows if row]
+    if not body_rows:
+        raise InputFormatError(f"{path}: no data rows")
+    try:
+        table = np.array(body_rows, dtype=float)
+    except ValueError:
+        _raise_first_bad_cell(path, header, rows)
+    if table.shape[1] != len(header):
+        _raise_first_bad_cell(path, header, rows)
+    t = table[:, 0] if has_t else None
+    return t, table[:, has_t:-1], table[:, -1]
+
+
+def _raise_first_bad_cell(path, header, rows):
+    """Raise the error of the first bad data row in file order: its field count, then its cells."""
+    for i, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputFormatError(
+                f"{path}: row {i}: expected {len(header)} fields, got {len(row)}"
+            )
+        for name, value in zip(header, row):
+            try:
+                float(value)
+            except ValueError:
                 raise InputFormatError(
-                    f"{path}: row {i}: expected {len(header)} fields, got {len(row)}"
-                )
-            def parse(value, name):
-                try:
-                    return float(value)
-                except ValueError:
-                    raise InputFormatError(
-                        f"{path}: row {i}, column {name}: cannot parse {value!r} as a number"
-                    ) from None
-            k = 0
-            if has_t:
-                t_vals.append(parse(row[0], "t"))
-                k = 1
-            x_vals.append([parse(row[k + j], x_names[j]) for j in range(d)])
-            y_vals.append(parse(row[k + d], "y"))
-        if not y_vals:
-            raise InputFormatError(f"{path}: no data rows")
-    t = np.asarray(t_vals) if has_t else None
-    return t, np.asarray(x_vals), np.asarray(y_vals)
+                    f"{path}: row {i}, column {name}: cannot parse {value!r} as a number"
+                ) from None
+    raise InputFormatError(f"{path}: cannot read the data rows as a table of numbers")
 
 
 def write_series_csv(path, t, x, y) -> None:
@@ -176,7 +182,7 @@ def _fit_from_args(args):
 
 def cmd_fit(args) -> int:
     est, _ = _fit_from_args(args)
-    doc = json.dumps(est.to_json_dict(), indent=2)
+    doc = json.dumps(est.to_json_dict())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc + "\n")
@@ -271,7 +277,10 @@ def _typed(pointer, value, kind):
     kinds = kind if isinstance(kind, tuple) else (kind,)
     for k in () if isinstance(value, bool) else kinds:
         if k is float and isinstance(value, int):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                _spec_error(pointer, "integer too large for a float")
         if isinstance(value, typing.get_origin(k) or k):
             items = typing.get_args(k)
             if items:
@@ -381,6 +390,7 @@ def _add_common_fit_flags(p):
     p.add_argument("--bfs-cap", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deconfound",
@@ -444,7 +454,7 @@ def main(argv=None) -> int:
     except FeasibilityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (InputFormatError, ConfigurationError, ValueError, OSError) as e:
+    except (InputFormatError, ConfigurationError, ValueError, OSError, csv.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -89,12 +89,12 @@ class DecorEstimate:
         """JSON-ready representation (schema_version "1", 1-based index arrays)."""
         return {
             "schema_version": SCHEMA_VERSION,
-            "beta": [float(b) for b in np.atleast_1d(self.beta)],
-            "excluded_frequencies": [int(k) for k in self.excluded_frequencies],
-            "inliers": [int(k) for k in self.inliers],
+            "beta": np.atleast_1d(self.beta).astype(float).tolist(),
+            "excluded_frequencies": self.excluded_frequencies.tolist(),
+            "inliers": self.inliers.tolist(),
             "iterations": int(self.iterations),
-            "fitted_time_domain": [float(v) for v in self.fitted_time_domain],
-            "residuals_time_domain": [float(v) for v in self.residuals_time_domain],
+            "fitted_time_domain": self.fitted_time_domain.tolist(),
+            "residuals_time_domain": self.residuals_time_domain.tolist(),
             "r_squared": self.r_squared,
             "converged": bool(self.converged),
             "method": self.method.value,
@@ -156,10 +156,11 @@ def decor_fit(
     else:
         fit = robust._fit_result(problem, robust.ols(problem), np.arange(1, n + 1), "OLS")
 
-    excluded = np.setdiff1d(np.arange(1, n + 1), fit.inliers)
+    confounded = np.ones(n, dtype=bool)
+    confounded[fit.inliers - 1] = False
+    excluded = np.flatnonzero(confounded) + 1
     x_freq_clean = x_freq.copy()
-    if excluded.size:
-        x_freq_clean[excluded - 1, :] = 0.0
+    x_freq_clean[confounded] = 0.0
     x_clean = inverse_transform(x_freq_clean, basis)
     fitted = x_clean @ fit.beta
     residuals = y - fitted

@@ -9,6 +9,7 @@ import pytest
 
 from deconfound import (
     AblationKind,
+    BandLimitedProcess,
     ConfigurationError,
     DecorConfig,
     ExperimentSpec,
@@ -39,6 +40,36 @@ def small_spec(**kw):
     )
     defaults.update(kw)
     return ExperimentSpec(**defaults)
+
+
+class TestSpecSizes:
+    """Every size the smallest grid entry must hold is checked when the spec is built."""
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(sim=SimConfig(n=8, d=12)), r"^sim\.d = 12 exceeds the smallest grid size n=8$"),
+            (
+                dict(methods=(DecorConfig(a=12),)),
+                r"^methods\[0\]\.a at the smallest grid size n=8: threshold count 12 out of range",
+            ),
+            (
+                dict(sim=SimConfig(n=8, u_process=BandLimitedProcess(support=(1, 12)))),
+                r"^sim\.u_process band support index 12 exceeds the smallest grid size n=8$",
+            ),
+        ],
+        ids=["d", "a", "support"],
+    )
+    def test_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(**kw)
+
+    def test_sizes_that_fit_accepted(self):
+        spec = small_spec(
+            sim=SimConfig(n=8, d=8, beta=3.0, eps_process=BandLimitedProcess(support=(1, 8))),
+            methods=(DecorConfig(a=8), DecorConfig(method=Method.OLS_BASELINE, a=12)),
+        )
+        assert spec.n_grid == (8, 16)
 
 
 class TestRunExperiment:

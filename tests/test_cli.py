@@ -361,6 +361,10 @@ NEW_SPEC_ERRORS = {
     "coeff_std": (_sim(coeff_std=0), " /sim: coefficient std must be positive, got 0.0"),
     "ou sigma": (_ou(ou_eps={"sigma": -1, "drift": -1}), " /sim: OU sigma must be positive, got -1.0"),
     "sigma_eta2 nan": (_sim(sigma_eta2=float("nan")), " /sim: sigma_eta2 must be non-negative, got nan"),
+    "horizon beyond float range": (
+        _sim(horizon=10**400), " /sim/horizon: integer too large for a float"
+    ),
+    "beta beyond float range": (_sim(beta=[10**400]), " /sim/beta/0: integer too large for a float"),
 }
 
 
@@ -498,3 +502,230 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# ------------------------------------------------ CSV reader against the row-by-row reference
+
+
+def _reference_read_series_csv(path):
+    """The row-by-row reader ``read_series_csv`` replaced: one ``float()`` per cell, in file order."""
+    from deconfound.cli import InputFormatError
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputFormatError(f"{path}: empty file, expected a header row")
+        header = [h.strip() for h in header]
+        has_t = bool(header) and header[0] == "t"
+        body = header[1:] if has_t else header
+        if not body or body[-1] != "y":
+            raise InputFormatError(
+                f"{path}: header must be t,x_1..x_d,y or x_1..x_d,y, got {','.join(header)}"
+            )
+        x_names = body[:-1]
+        expected = [f"x_{i}" for i in range(1, len(x_names) + 1)]
+        if x_names != expected:
+            raise InputFormatError(
+                f"{path}: covariate columns must be named {','.join(expected)}, "
+                f"got {','.join(x_names) or '(none)'}"
+            )
+        d = len(x_names)
+        t_vals, x_vals, y_vals = [], [], []
+        for i, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputFormatError(
+                    f"{path}: row {i}: expected {len(header)} fields, got {len(row)}"
+                )
+            def parse(value, name):
+                try:
+                    return float(value)
+                except ValueError:
+                    raise InputFormatError(
+                        f"{path}: row {i}, column {name}: cannot parse {value!r} as a number"
+                    ) from None
+            k = 0
+            if has_t:
+                t_vals.append(parse(row[0], "t"))
+                k = 1
+            x_vals.append([parse(row[k + j], x_names[j]) for j in range(d)])
+            y_vals.append(parse(row[k + d], "y"))
+        if not y_vals:
+            raise InputFormatError(f"{path}: no data rows")
+    t = np.asarray(t_vals) if has_t else None
+    return t, np.asarray(x_vals), np.asarray(y_vals)
+
+
+def _plain_rows(count):
+    return "".join(f"{i / count!r},{math.sin(i)!r},{math.cos(i)!r}\n" for i in range(1, count + 1))
+
+
+def _two_bad_cells():
+    # a bad y cell on row 5 comes before a bad t cell on row 7 in file order, not in column order
+    lines = _plain_rows(8).splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",3.0.1"
+    lines[5] = "oops," + lines[5].split(",", 1)[1]
+    return "t,x_1,y\n" + "\n".join(lines) + "\n"
+
+
+CSV_CASES = {
+    "plain": "t,x_1,y\n0.1,1.0,2.0\n0.2,1.5,3.0\n",
+    "crlf": "t,x_1,y\r\n0.1,1.0,2.0\r\n0.2,1.5,3.0\r\n",
+    "quoted cells": 't,"x_1",y\n"0.1","1.0",2.0\n0.2,"1.5","3.0"\n',
+    "blank lines": "t,x_1,y\n\n0.1,1.0,2.0\n\n\n0.2,1.5,3.0\n\n",
+    "spaces around cells": "t , x_1 ,y\n 0.1 , 1.0 ,2.0 \n0.2,\t1.5,3.0 \n",
+    "no final newline": "t,x_1,y\n0.1,1.0,2.0\n0.2,1.5,3.0",
+    "no t column": "x_1,y\n1.0,2.0\n1.5,3.0\n",
+    "d = 2": "t,x_1,x_2,y\n0.1,1.0,-1.0,2.0\n0.2,1.5,0.5,3.0\n",
+    "nan and inf": "t,x_1,y\n0.1,nan,inf\n0.2,-Infinity,-NaN\n0.3,1e400,-0\n",
+    "underscore digits": "t,x_1,y\n0.1,1_0,2.0\n",
+    "arabic-indic digit": "t,x_1,y\n0.1,١٢.٥,2.0\n",
+    "hex literal": "t,x_1,y\n0.1,0x1,2.0\n",
+    "empty cell": "t,x_1,y\n0.1,1.0,2.0\n0.2,,3.0\n",
+    "bad cell before a short row": "t,x_1,y\n0.1,1.0,2.0\n0.2,oops,3.0\n0.3,1.0\n",
+    "short row before a bad cell": "t,x_1,y\n0.1,1.0,2.0\n0.2,1.0\n0.3,oops,3.0\n",
+    "every row too wide": "t,x_1,y\n0.1,1.0,2.0,9\n0.2,1.5,3.0,9\n",
+    "every row too short": "t,x_1,y\n0.1,1.0\n0.2,1.5\n",
+    "whitespace-only row": "t,x_1,y\n0.1,1.0,2.0\n   \n0.2,1.5,3.0\n",
+    "bad t cell": "t,x_1,y\n0.1,1.0,2.0\nx,1.0,2.0\n",
+    "bad y cell": "t,x_1,y\n0.1,1.0,2.0\n0.2,1.0,y\n",
+    "header only": "t,x_1,y\n",
+    "empty file": "",
+    "bad header": "a,b\n1,2\n",
+    "bad cells in a plain file": _two_bad_cells(),
+}
+
+
+def _read_outcome(reader, path):
+    """Shapes, dtypes and bytes of the arrays ``reader`` returns, or its exception type and message."""
+    try:
+        arrays = reader(path)
+    except Exception as e:
+        return type(e), str(e)
+    return [None if a is None else (a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+
+class TestReadSeriesCsv:
+    """``read_series_csv`` returns what the row-by-row reader returned, bit for bit, or its error."""
+
+    @pytest.mark.parametrize("text", CSV_CASES.values(), ids=CSV_CASES)
+    def test_matches_row_by_row_reader(self, tmp_path, text):
+        from deconfound.cli import read_series_csv
+
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(read_series_csv, path) == _read_outcome(
+            _reference_read_series_csv, path
+        )
+
+    @pytest.mark.parametrize("n", [1, 257, 1024])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_written_files_round_trip(self, tmp_path, n, d):
+        from deconfound.cli import read_series_csv, write_series_csv
+
+        rng = np.random.default_rng(n * 10 + d)
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d))
+        y = rng.standard_normal(n)
+        t = np.arange(1, n + 1) / n
+        path = tmp_path / "data.csv"
+        write_series_csv(path, t, x, y)
+        outcome = _read_outcome(read_series_csv, path)
+        assert outcome == _read_outcome(_reference_read_series_csv, path)
+        assert outcome == [(a.shape, a.dtype, a.tobytes()) for a in (t, x, y)]
+
+
+    def test_csv_module_error_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("t,x_1,y\n0.1,1.0,2.0\n0.2,1.0," + "9" * 200_000 + "\n")
+        assert run_cli("fit", "--input", path) == 2
+        assert capsys.readouterr().err == "error: field larger than field limit (131072)\n"
+
+
+class TestFitOutput:
+    """``fit`` writes the estimate as one JSON line that parses equal to the library's dict."""
+
+    def expected(self, path):
+        from deconfound import decor_fit
+
+        _, x, y = _reference_read_series_csv(path)
+        return decor_fit(x, y).to_json_dict()
+
+    def assert_bit_equal(self, doc, expected):
+        assert doc == expected
+        for key in ("beta", "fitted_time_domain", "residuals_time_domain"):
+            assert np.array(doc[key]).tobytes() == np.array(expected[key]).tobytes()
+        assert math.copysign(1.0, doc["r_squared"]) == math.copysign(1.0, expected["r_squared"])
+
+    def test_out_file(self, sim_csv, tmp_path):
+        out = tmp_path / "est.json"
+        assert run_cli("fit", "--input", sim_csv, "--out", out) == 0
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        self.assert_bit_equal(json.loads(text), self.expected(sim_csv))
+
+    def test_stdout(self, sim_csv, capsys):
+        assert run_cli("fit", "--input", sim_csv) == 0
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1
+        self.assert_bit_equal(json.loads(text), self.expected(sim_csv))
+
+    def test_json_dict_types(self, sim_csv):
+        doc = self.expected(sim_csv)
+        for key in ("beta", "fitted_time_domain", "residuals_time_domain"):
+            assert all(type(v) is float for v in doc[key])
+        for key in ("excluded_frequencies", "inliers"):
+            assert all(type(v) is int for v in doc[key])
+
+
+class TestParser:
+    def test_two_calls_build_one_parser(self, sim_csv, tmp_path, monkeypatch):
+        from deconfound import cli
+
+        builds = []
+        real_flags = cli._add_common_fit_flags
+        monkeypatch.setattr(cli, "_add_common_fit_flags", lambda p: builds.append(p) or real_flags(p))
+        cli.build_parser.cache_clear()
+        assert run_cli("fit", "--input", sim_csv, "--out", tmp_path / "a.json") == 0
+        assert run_cli("fit", "--input", sim_csv, "--out", tmp_path / "b.json") == 0
+        assert len(builds) == 2  # the fit and deconfound subparsers of a single parser
+
+    def test_import_builds_no_parser(self):
+        import os
+        import subprocess
+        import sys
+
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "from deconfound import cli; print(cli.build_parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out == "0\n"
+
+
+SIZE_ERRORS = {
+    "sim d": (_spec(sim={"d": 12}, n_grid=[8, 16]), "sim.d = 12"),
+    "method a": (_spec(methods=[{"method": "bfs", "a": 12}], n_grid=[8, 16]), "methods[0].a"),
+    "band support": (_spec(sim={"band_support": [1, 12]}, n_grid=[8, 16]), "band support index 12"),
+}
+
+
+class TestSpecSizes:
+    """Sizes that the smallest grid entry cannot hold are rejected before any cell runs."""
+
+    run_spec = TestSpecErrors.run_spec
+
+    @pytest.mark.parametrize("doc, field", SIZE_ERRORS.values(), ids=SIZE_ERRORS)
+    def test_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch, doc, field):
+        from deconfound import bench
+
+        def no_generate(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "generate", no_generate)
+        code, err = self.run_spec(tmp_path, capsys, doc)
+        assert code == 2
+        assert err.startswith("error: experiment spec : ") and field in err and "n=8" in err

@@ -198,6 +198,18 @@ class TestDecorFit:
         assert not est.converged
 
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("n", [16, 1000])
+    def test_excluded_is_the_complement_of_inliers(self, method, n):
+        cfg = SimConfig(n=n, seed=n)
+        x, y, _ = generate(cfg)
+        a = n - 1 if method is Method.BFS else 0.7
+        est = decor_fit(x, y, DecorConfig(method=method, a=a))
+        expected = np.setdiff1d(np.arange(1, n + 1), est.inliers)
+        assert est.excluded_frequencies.dtype == expected.dtype
+        np.testing.assert_array_equal(est.excluded_frequencies, expected)
+
+
 class TestDecorConfig:
     @pytest.mark.parametrize("a", [-3, 0, 0.0, -3.0, -0.5, float("nan"), True, False, 2.5, "0.7"])
     def test_bad_threshold_rejected_at_construction(self, a):
