@@ -229,13 +229,3 @@ def check_orthonormality(basis: BasisMatrix, tol: float = 1e-10) -> Orthonormali
     dev = float(np.max(np.abs(gram - np.eye(n))))
     return OrthonormalityCheck(ok=dev <= tol, max_deviation=dev)
 
-
-def basis_to_csv(basis: BasisMatrix, path) -> None:
-    """Dump the matrix as ``j,k,value`` rows (1-based indices, row-major)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("j,k,value\n")
-        m = basis.matrix
-        for j in range(basis.n):
-            row = m[j]
-            for k in range(basis.n):
-                fh.write(f"{j + 1},{k + 1},{row[k]!r}\n")

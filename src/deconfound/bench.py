@@ -8,6 +8,7 @@ be reproduced in isolation and results do not depend on execution order.
 
 from __future__ import annotations
 
+import csv
 import enum
 import math
 from dataclasses import dataclass, fields, replace
@@ -110,7 +111,7 @@ def method_labels(methods) -> list[str]:
     labels = []
     seen: dict[str, int] = {}
     for cfg in methods:
-        base = _METHOD_LABELS[Method(cfg.method)]
+        base = _METHOD_LABELS[cfg.method]
         seen[base] = seen.get(base, 0) + 1
         labels.append(base if seen[base] == 1 else f"{base}#{seen[base]}")
     return labels
@@ -212,7 +213,7 @@ def run_consistency_sweep(spec: ExperimentSpec, floor: float = 0.5):
     if len(spec.n_grid) < 4:
         raise ValueError("a consistency sweep needs at least 4 grid points")
     tor = next(
-        (m for m in spec.methods if Method(m.method) is Method.TORRENT),
+        (m for m in spec.methods if m.method is Method.TORRENT),
         DecorConfig(),
     )
     ols = DecorConfig(basis_kind=tor.basis_kind, method=Method.OLS_BASELINE)
@@ -297,15 +298,24 @@ def run_ablation(
     return rows, records
 
 
+def write_csv(path, names, rows) -> None:
+    """Write ``rows`` as CSV under the header ``names``: comma separated, UTF-8, LF line endings.
+
+    The csv module writes a float, Python's or numpy's, as its shortest round-trip repr,
+    so every value reads back bit-exactly.  This is the one CSV writer of the package.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(rows)
+
+
 def write_rows(path, header: str, rows) -> None:
     """Write dataclass rows as CSV under ``header``, one column per field in field order.
 
-    A float is written as its ``repr``, so it reads back bit-exactly, and a bool as 0 or 1.
+    A bool is written as 0 or 1; every other value as ``write_csv`` writes it.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            # not dataclasses.astuple, which deep-copies every value (3x slower here)
-            cells = [getattr(row, f.name) for f in fields(row)]
-            cells = [int(v) if isinstance(v, bool) else v for v in cells]
-            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in cells) + "\n")
+    # not dataclasses.astuple, which deep-copies every value (3x slower here)
+    cells = ([getattr(row, f.name) for f in fields(row)] for row in rows)
+    written = ([int(v) if isinstance(v, bool) else v for v in row] for row in cells)
+    write_csv(path, header.split(","), written)

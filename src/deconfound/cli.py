@@ -30,8 +30,10 @@ import typing
 import numpy as np
 
 from . import __version__
-from .basis import BasisKind, basis_to_csv, build_basis, check_orthonormality
-from .bench import RECORD_CSV_HEADER, RESULT_CSV_HEADER, ExperimentSpec, run_experiment, write_rows
+from .basis import BasisKind, build_basis, check_orthonormality
+from .bench import (
+    RECORD_CSV_HEADER, RESULT_CSV_HEADER, ExperimentSpec, run_experiment, write_csv, write_rows,
+)
 from .errors import ConfigurationError, FeasibilityError
 from .pipeline import SCHEMA_VERSION, DecorConfig, Method, decor_fit
 from .sim import BandLimitedProcess, OUProcess, SimConfig, generate
@@ -107,15 +109,7 @@ def _raise_first_bad_cell(path, header, rows):
 
 def write_series_csv(path, t, x, y) -> None:
     names = ["t", *(f"x_{i}" for i in range(1, x.shape[1] + 1)), "y"]
-    _write_columns(path, names, [t, *x.T, y])
-
-
-def _write_columns(path, names, columns) -> None:
-    """Write equal-length numeric columns as CSV under ``names``, each value as its float repr."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in zip(*(np.asarray(c).tolist() for c in columns)):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, names, np.column_stack([t, x, y]).astype(float).tolist())
 
 
 # ------------------------------------------------------------- config flags
@@ -199,10 +193,9 @@ def cmd_deconfound(args) -> int:
     t = np.arange(1, n + 1) * (args.horizon / n)
     fitted_path = f"{args.out}_fitted.csv"
     columns = [t, est.fitted_time_domain, est.residuals_time_domain]
-    _write_columns(fitted_path, ["t", "fitted", "residual"], columns)
+    write_csv(fitted_path, ["t", "fitted", "residual"], np.column_stack(columns).tolist())
     excluded_path = f"{args.out}_excluded.csv"
-    with open(excluded_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(f"{k}\n" for k in ["k", *est.excluded_frequencies.tolist()])
+    write_csv(excluded_path, ["k"], est.excluded_frequencies[:, None].tolist())
     summary_path = f"{args.out}_summary.json"
     doc = est.to_json_dict()
     keys = ("schema_version", "beta", "r_squared", "iterations", "converged", "method")
@@ -220,7 +213,9 @@ def cmd_check_basis(args) -> int:
     basis = build_basis(BasisKind(args.kind), args.n)
     result = check_orthonormality(basis, tol=args.tol)
     if args.dump_csv:
-        basis_to_csv(basis, args.dump_csv)
+        matrix = enumerate(basis.matrix, start=1)  # one row of Python floats at a time
+        rows = ([j, k, v] for j, row in matrix for k, v in enumerate(row.tolist(), start=1))
+        write_csv(args.dump_csv, ["j", "k", "value"], rows)
         print(f"wrote {args.dump_csv}")
     status = "pass" if result.ok else "FAIL"
     print(
@@ -454,7 +449,7 @@ def main(argv=None) -> int:
     except FeasibilityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (InputFormatError, ConfigurationError, ValueError, OSError, csv.Error) as e:
+    except (ValueError, OSError, csv.Error) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -131,13 +131,10 @@ def decor_fit(
         Propagated from basis construction (e.g. Haar with n not a power of
         two).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    y = np.asarray(y, dtype=float).ravel()
+    # checked before the transform, so a non-finite value is rejected, never multiplied
+    data = robust.RegressionProblem(x, y)
+    x, y = data.x, data.y
     n, d = x.shape
-    if y.shape[0] != n:
-        raise ValueError(f"y must have {n} entries, got {y.shape[0]}")
     if n < d:
         raise ValueError(f"need at least as many samples as covariates ({n} < {d})")
 
@@ -146,7 +143,7 @@ def decor_fit(
     x_freq, y_freq = xy_freq[:, :d], xy_freq[:, d]
     problem = robust.RegressionProblem(x_freq, y_freq)
 
-    method = Method(config.method)
+    method = config.method
     if method is Method.TORRENT:
         fit = robust.torrent(problem, config.a, max_iter=config.max_iter)
     elif method is Method.BFS:

@@ -273,12 +273,13 @@ def _singular(lam: np.ndarray, s: int, d: int) -> np.ndarray:
 def _subset_errors(x: np.ndarray, y: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """Mean squared residual of the least-squares fit on each row set of ``sets``.
 
-    ``sets`` is a (C, s) array of 0-based rows, fitted ``_CHUNK_SETS`` at a time.
+    ``sets`` is a (C, s) array of 1-based rows, fitted ``_CHUNK_SETS`` at a time; each
+    chunk is shifted to 0-based on its own, so no copy of the whole array is made.
     """
     s, d = sets.shape[1], x.shape[1]
     errs = []
     for start in range(0, len(sets), _CHUNK_SETS):
-        rows = sets[start : start + _CHUNK_SETS]
+        rows = sets[start : start + _CHUNK_SETS] - 1
         xs, ys = x[rows], y[rows]
         lam, vec = np.linalg.eigh(np.swapaxes(xs, 1, 2) @ xs)
         singular = _singular(lam, s, d)
@@ -325,7 +326,7 @@ def bfs(
         raise ValueError("candidate sets must not repeat an index")
     errs = np.empty(len(listed))
     for where, sets in groups:
-        errs[where] = _subset_errors(x, y, sets - 1)
+        errs[where] = _subset_errors(x, y, sets)
     tau = 16 * _EPS * float(y @ y) / n
     winner = np.sort(listed[int(np.argmax(errs <= errs.min() + tau))])
     return _fit_result(problem, _lstsq(x[winner - 1], y[winner - 1]), winner, "BFS")

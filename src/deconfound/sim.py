@@ -152,9 +152,7 @@ class GroundTruth:
 
 def make_rng(seed) -> np.random.Generator:
     """Counter-based generator; accepts an int seed or a SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def sample_ou(

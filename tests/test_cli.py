@@ -132,6 +132,21 @@ class TestFit:
         err = capsys.readouterr().err
         assert "row 3" in err and "x_1" in err
 
+    def test_non_finite_cells_exit_2_under_warnings_as_errors(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        data = tmp_path / "inf.csv"
+        data.write_text("t,x_1,y\n1,inf,2\n2,-inf,3\n3,1,4\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "deconfound.cli", "fit", "--input", str(data)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: x and y must be finite (no NaN/Inf)\n"
+
     def test_wrong_header_rejected(self, tmp_path):
         bad = tmp_path / "bad2.csv"
         bad.write_text("a,b\n1,2\n")

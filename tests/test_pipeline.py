@@ -190,6 +190,19 @@ class TestDecorFit:
         with pytest.raises(ValueError):
             decor_fit(rng.normal(size=(3, 4)), rng.normal(size=3), DecorConfig())
 
+    @pytest.mark.parametrize("basis_kind", ["cosine", "haar"])
+    @pytest.mark.parametrize("n", [4, 512])
+    def test_non_finite_input_rejected_before_the_transform(self, basis_kind, n):
+        # a transform of inf and -inf would warn "invalid value encountered in matmul"
+        # (an error under the test settings) before the finite check could run
+        x = np.r_[np.inf, -np.inf, np.arange(n - 2.0)]
+        with pytest.raises(ValueError, match="finite"):
+            decor_fit(x, np.arange(n, dtype=float), DecorConfig(basis_kind=basis_kind))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one entry per row"):
+            decor_fit(np.ones(4), np.ones(5))
+
     def test_non_convergence_reported(self):
         cfg = SimConfig(n=64, sigma_eta2=4.0, seed=31)
         x, y, _ = generate(cfg)

@@ -303,6 +303,20 @@ class TestBfs:
         winner_err = fit.residual_norm**2 / len(rows)
         assert winner_err == pytest.approx(min(errs), rel=1e-9)
 
+    def test_candidate_array_is_not_copied(self):
+        # C(22, 15) = 170,544 sets, a 19.5 MiB array: bfs shifts it to 0-based a chunk at a time
+        sets = candidate_sets_all_of_size(22, 15)
+        rng = np.random.default_rng(14)
+        p = RegressionProblem(rng.normal(size=22), rng.normal(size=22))
+        tracemalloc.start()
+        try:
+            fit = bfs(p, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.inliers.shape == (15,)
+        assert peak < sets.nbytes / 2
+
     def test_empty_candidates_rejected(self):
         p = RegressionProblem(np.ones((3, 1)), np.ones(3))
         with pytest.raises(ValueError):

@@ -86,6 +86,16 @@ class TestOu:
         b = sample_ou(64, 1.0, 1.0, -0.5, make_rng(7))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 7, 2**63 - 1, np.random.SeedSequence(entropy=(5, 16, 1, 3))],
+        ids=["0", "7", "2**63-1", "sequence"],
+    )
+    def test_make_rng_is_philox_of_the_seed_sequence(self, seed):
+        entropy = seed.entropy if isinstance(seed, np.random.SeedSequence) else seed
+        reference = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        assert np.array_equal(make_rng(seed).normal(size=16), reference.normal(size=16))
+
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             sample_ou(10, 1.0, 1.0, 0.5, make_rng(0))
