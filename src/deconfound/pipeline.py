@@ -103,8 +103,11 @@ class DecorEstimate:
 
 def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     """Coefficient of determination with centered sums of squares."""
-    sst = float(np.sum((y - y.mean()) ** 2))
-    ssr = float(np.sum((residuals - residuals.mean()) ** 2))
+    n = y.shape[0]
+    dy = y - y.sum() / n
+    dr = residuals - residuals.sum() / n
+    sst = float(np.add.reduce(dy * dy))
+    ssr = float(np.add.reduce(dr * dr))
     if sst == 0.0:
         return 1.0 if ssr == 0.0 else float("-inf")
     return 1.0 - ssr / sst

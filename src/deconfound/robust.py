@@ -150,9 +150,16 @@ def hard_threshold(v: np.ndarray, a: int) -> np.ndarray:
     n = v.shape[0]
     if not 1 <= a <= n:
         raise ValueError(f"a must lie in 1..{n}, got {a}")
-    order = np.argsort(v, kind="stable")[:a]
-    order.sort()
-    return order + 1
+    return np.flatnonzero(_smallest(v, a)) + 1
+
+
+def _smallest(v: np.ndarray, a: int) -> np.ndarray:
+    """Mask of the ``a`` smallest entries, the set ``argsort(v, kind="stable")[:a]`` picks."""
+    # no sort: every entry below the a-th smallest t, then the lowest-index entries equal to t
+    t = np.partition(v, a - 1)[a - 1]
+    mask, tied = (v < t, v == t) if t == t else (~np.isnan(v), np.isnan(v))  # NaN sorts last
+    mask[tied.nonzero()[0][: a - np.count_nonzero(mask)]] = True
+    return mask
 
 
 def resolve_count(a: float | int, n: int) -> int:
@@ -183,9 +190,16 @@ def torrent(
 
     Starting from the full index set, alternate a least-squares fit on the
     current active set with reselection of the ``a`` rows of smallest absolute
-    residual.  Stops at an active-set fixed point or as soon as the
-    thresholded residual norm no longer strictly decreases; ``converged`` is
-    False only if ``max_iter`` refits were exhausted first.
+    residual, ties to the lower index as in ``hard_threshold``.  Stops at an
+    active-set fixed point or as soon as the thresholded residual norm no
+    longer strictly decreases; ``converged`` is False only if ``max_iter``
+    refits were exhausted first.
+
+    Each refit solves the normal equations (beta = Sxy / Sxx for one column,
+    else by ``eigh`` of the Gram matrix), or calls ``lstsq`` for the minimum-norm
+    fit when that matrix is numerically singular.  This rounds unlike ``lstsq``:
+    with noise the kept rows match and beta agrees to about 1e-12 relative, but
+    an exact fit's inlier residuals are rounding noise, so its kept rows may not.
 
     Parameters
     ----------
@@ -204,25 +218,36 @@ def torrent(
             stacklevel=2,
         )
     x, y = problem.x, problem.y
-    active = np.arange(1, n + 1)
+    active = np.ones(n, dtype=bool)
     r_prev = float(np.linalg.norm(y))
-    beta = np.zeros(d)
     converged = False
     iterations = 0
     while iterations < max_iter:
         iterations += 1
-        rows = active - 1
-        beta = _lstsq(x[rows], y[rows])
+        beta = _normal_fit(x[active], y[active])
         v = np.abs(y - x @ beta)
-        new_active = hard_threshold(v, a_count)
-        r_new = float(np.linalg.norm(v[new_active - 1]))
-        fixed_point = new_active.shape == active.shape and np.array_equal(new_active, active)
+        new_active = _smallest(v, a_count)
+        r_new = float(np.linalg.norm(v[new_active]))
+        fixed_point = np.array_equal(new_active, active)
         active = new_active
         if fixed_point or r_new >= r_prev:
             converged = True
             break
         r_prev = r_new
-    return _fit_result(problem, beta, active, "Torrent", iterations, converged)
+    inliers = np.flatnonzero(active) + 1
+    return _fit_result(problem, beta, inliers, "Torrent", iterations, converged)
+
+
+def _normal_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least squares by the normal equations, or ``_lstsq`` when ``_singular`` flags them."""
+    s, d = x.shape
+    gram = x.T @ x
+    if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
+        return _lstsq(x, y) if _singular(gram, s, d)[0] else (x.T @ y) / gram[0]
+    lam, vec = np.linalg.eigh(gram)
+    if _singular(lam[None], s, d)[0]:
+        return _lstsq(x, y)
+    return vec @ ((vec.T @ (x.T @ y)) / lam)
 
 
 def _all_combinations(n: int, size: int) -> np.ndarray:

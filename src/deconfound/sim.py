@@ -224,8 +224,9 @@ def _process_coefficients(
     """Basis coefficients of ``columns`` independent draws of ``process``, shape (n, columns)."""
     n = basis.n
     if isinstance(process, BandLimitedProcess):
-        support = range(1, n + 1) if process.support is None else process.support
-        return _band_coefficients(n, support, process.coeff_std, columns, rng)
+        if process.support is None:  # the draws of support 1..n, C-ordered as the band path's
+            return np.ascontiguousarray(rng.normal(0.0, process.coeff_std, (columns, n)).T)
+        return _band_coefficients(n, process.support, process.coeff_std, columns, rng)
     if isinstance(process, OUProcess):
         paths = [sample_ou(n, horizon, process.sigma, process.drift, rng) for _ in range(columns)]
         return transform(np.column_stack(paths), basis)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -50,6 +51,29 @@ def listed_bfs_oracle(x, y, sets):
 def exhaustive_bfs_oracle(x, y, size):
     """Independent exhaustive loop, returning (best_set, best_beta)."""
     return listed_bfs_oracle(x, y, list(combinations(range(1, len(y) + 1), size)))
+
+
+def lstsq_argsort_torrent(p, a, max_iter=100):
+    """Torrent as first written: lstsq refits and a stable argsort per iteration.
+
+    Returns ``(beta, inliers, iterations, converged)``.
+    """
+    a_count = resolve_count(a, p.n)
+    x, y = p.x, p.y
+    active = np.arange(1, p.n + 1)
+    r_prev = float(np.linalg.norm(y))
+    for iterations in range(1, max_iter + 1):
+        rows = active - 1
+        beta = np.linalg.lstsq(x[rows], y[rows], rcond=None)[0]
+        v = np.abs(y - x @ beta)
+        new_active = np.sort(np.argsort(v, kind="stable")[:a_count]) + 1
+        r_new = float(np.linalg.norm(v[new_active - 1]))
+        fixed_point = np.array_equal(new_active, active)
+        active = new_active
+        if fixed_point or r_new >= r_prev:
+            return beta, active, iterations, True
+        r_prev = r_new
+    return beta, active, max_iter, False
 
 
 def planted_instance(rng, n=20, d=1, n_out=5, magnitude=10.0):
@@ -258,6 +282,76 @@ class TestTorrent:
         fit = torrent(p, 0.7, max_iter=1)
         assert fit.iterations == 1
         assert not fit.converged
+
+
+class TestTorrentKernel:
+    """Normal-equation refits and partition thresholding against lstsq and argsort."""
+
+    @staticmethod
+    def _noisy_instance(rng, d):
+        n = int(rng.integers(3 * d + 5, 301))
+        x = rng.normal(size=(n, d))
+        y = x @ rng.normal(size=d) + rng.uniform(0.1, 1.0) * rng.normal(size=n)
+        out = rng.random(n) < 0.2
+        y[out] += rng.normal(0.0, 10.0, out.sum())
+        a = float(rng.uniform(0.5, 1.0)) if rng.random() < 0.5 else int(rng.integers(n // 2, n + 1))
+        return RegressionProblem(x, y), a
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_on_noisy_instances(self, d):
+        rng = np.random.default_rng(800 + d)
+        for _ in range(150):
+            p, a = self._noisy_instance(rng, d)
+            fit = torrent(p, a)
+            beta, inliers, iterations, converged = lstsq_argsort_torrent(p, a)
+            assert np.array_equal(fit.inliers, inliers)
+            assert (fit.iterations, fit.converged) == (iterations, converged)
+            assert np.max(np.abs(fit.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_on_noise_free_instances(self, d):
+        # exact fits: the kept rows may differ by rounding, the coefficients may not
+        for seed in range(30):
+            rng = np.random.default_rng(900 + 10 * d + seed)
+            p, planted, _ = planted_instance(rng, n=40, d=d, n_out=8)
+            fit = torrent(p, 30)
+            assert np.max(np.abs(fit.beta - lstsq_argsort_torrent(p, 30)[0])) <= 1e-12
+            assert np.max(np.abs(fit.beta - planted)) <= 1e-12
+
+    def test_hard_threshold_is_the_stable_argsort_on_ties(self):
+        rng = np.random.default_rng(950)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            v = np.round(rng.normal(size=n), 1)  # many exact ties
+            if rng.random() < 0.3:
+                v[rng.random(n) < 0.2] = rng.choice([np.nan, np.inf, -np.inf])
+            for a in range(1, n + 1):
+                expected = np.sort(np.argsort(v, kind="stable")[:a]) + 1
+                assert np.array_equal(hard_threshold(v, a), expected), (v, a)
+
+    def test_duplicated_column_gives_the_lstsq_fit(self):
+        rng = np.random.default_rng(960)
+        c = rng.normal(size=30)
+        y = 2.0 * c + 0.1 * rng.normal(size=30)
+        y[:5] += 8.0
+        p = RegressionProblem(np.column_stack([c, c]), y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = torrent(p, 24)
+        beta, inliers, iterations, _ = lstsq_argsort_torrent(p, 24)
+        assert np.array_equal(fit.inliers, inliers) and fit.iterations == iterations
+        assert np.max(np.abs(fit.beta - beta)) <= 1e-12
+        assert fit.beta[0] == pytest.approx(fit.beta[1], abs=1e-12)  # minimum norm
+
+    def test_zero_covariate_gives_zero_beta(self):
+        p = RegressionProblem(np.zeros((12, 1)), np.arange(12.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = torrent(p, 0.75)
+        beta, inliers, iterations, converged = lstsq_argsort_torrent(p, 0.75)
+        assert fit.beta.tolist() == beta.tolist() == [0.0]
+        assert np.array_equal(fit.inliers, inliers) and fit.iterations == iterations
+        assert list(fit.inliers) == list(range(1, 10))
 
 
 class TestBfs:

@@ -254,6 +254,29 @@ class TestGenerate:
         generate(SimConfig(n=64, d=2, seed=8))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.HAAR])
+    @pytest.mark.parametrize("n", [8, 16, 1024])
+    def test_full_band_draws_match_the_support_path(self, monkeypatch, d, kind, n):
+        real = sim._process_coefficients
+
+        def support_path(process, basis, columns, horizon, rng):
+            # the full band drawn as the explicit support 1..n, as generate once did
+            if isinstance(process, BandLimitedProcess) and process.support is None:
+                support = np.asarray(list(range(1, basis.n + 1)), dtype=int)
+                coeffs = np.zeros((basis.n, columns))
+                coeffs[support - 1] = rng.normal(0.0, process.coeff_std, (columns, support.size)).T
+                return coeffs
+            return real(process, basis, columns, horizon, rng)
+
+        configs = [SimConfig(n=n, d=d, basis_kind=kind, seed=seed) for seed in range(20)]
+        drawn = [generate(cfg) for cfg in configs]
+        monkeypatch.setattr(sim, "_process_coefficients", support_path)
+        for cfg, (x, y, truth) in zip(configs, drawn):
+            ref_x, ref_y, ref_truth = generate(cfg)
+            assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
+            assert truth.u_time.tobytes() == ref_truth.u_time.tobytes()
+
     def test_frequency_noise_variance_shrinks(self):
         # quick version of the distributional check: component variance of the
         # transformed noise is sigma^2 / n within 10% over 5000 replicates
