@@ -11,7 +11,7 @@ derived.
 from __future__ import annotations
 
 import enum
-import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,8 @@ class DecorConfig:
 
     ``a`` is the robust threshold: the number of frequencies treated as
     unconfounded, given as an absolute count or as a fraction of n (converted
-    as ``ceil(a * n)``); a value <= 0, NaN or a bool is rejected here.  For
+    as ``ceil(a * n)``) by ``robust.resolve_count``'s rule, which is checked
+    here, so whatever that rule rejects is rejected at construction.  For
     the exhaustive method it is the candidate-set size.  Defaults follow the
     benchmark setup: cosine basis, iterative hard thresholding, a = 0.7.
     """
@@ -50,14 +51,12 @@ class DecorConfig:
     def __post_init__(self):
         object.__setattr__(self, "basis_kind", BasisKind(self.basis_kind))
         object.__setattr__(self, "method", Method(self.method))
-        a = self.a
-        if (
-            isinstance(a, bool)
-            or not isinstance(a, numbers.Real)
-            or not a > 0
-            or (isinstance(a, float) and a > 1 and not a.is_integer())
-        ):
-            raise ValueError(f"a must be a fraction in (0,1] or a positive count, got {a!r}")
+        try:  # resolve_count's rule; a count's upper bound n is checked once n is known
+            robust.resolve_count(self.a, sys.maxsize)
+        except ValueError:
+            raise ValueError(
+                f"a must be a fraction in (0,1] or a positive count, got {self.a!r}"
+            ) from None
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.bfs_cap < 1:

@@ -12,9 +12,10 @@ convention of the rest of the package.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal
 from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
@@ -85,31 +86,27 @@ class RobustFit:
     method: str
 
 
-def _subset_to_indices(subset: Sequence[int] | np.ndarray, n: int) -> np.ndarray:
-    idx = np.asarray(subset, dtype=int).ravel()
-    if idx.size == 0:
-        raise ValueError("subset must be non-empty")
-    if idx.min() < 1 or idx.max() > n:
-        raise ValueError(f"subset indices must lie in 1..{n}")
-    if _repeats_an_index(idx[None, :]):
-        raise ValueError("subset indices must be distinct")
-    return idx - 1
-
-
-def _repeats_an_index(sets: np.ndarray) -> bool:
-    """Whether some row of the (C, s) index array holds an index twice.
+def _check_index_sets(sets: np.ndarray, n: int, what: str) -> None:
+    """The one index-set rule: each row of the (C, s) array ``sets`` is non-empty,
+    lies in 1..n and repeats no index; ``what`` names a set in the message.
 
     Rows in increasing order, as ``candidate_sets_all_of_size`` gives them,
-    pass one comparison over the flat array; only otherwise are rows sorted.
+    pass the repeat test in one comparison over the flat array; only
+    otherwise are rows sorted.
     """
     s = sets.shape[1]
+    if s == 0:
+        raise ValueError(f"{what}s must be non-empty")
+    if sets.min() < 1 or sets.max() > n:
+        raise ValueError(f"{what} indices must lie in 1..{n}")
     flat = sets.ravel()
     rising = flat[1:] > flat[:-1]
     rising[s - 1 :: s] = True  # the last entry of a row against the first of the next
     if rising.all():
-        return False
+        return
     ordered = np.sort(sets, axis=1)
-    return bool((ordered[:, 1:] == ordered[:, :-1]).any())
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError(f"{what}s must not repeat an index (indices must be distinct)")
 
 
 def _fit_result(problem, beta, inliers, method, iterations=0, converged=True):
@@ -134,10 +131,10 @@ def ols(problem: RegressionProblem, subset: Sequence[int] | None = None) -> np.n
     than an error.
     """
     if subset is None:
-        rows = np.arange(problem.n)
-    else:
-        rows = _subset_to_indices(subset, problem.n)
-    return _lstsq(problem.x[rows], problem.y[rows])
+        return _lstsq(problem.x, problem.y)
+    rows = np.asarray(subset, dtype=int).ravel()
+    _check_index_sets(rows[None, :], problem.n, "subset")
+    return _lstsq(problem.x[rows - 1], problem.y[rows - 1])
 
 
 def hard_threshold(v: np.ndarray, a: int) -> np.ndarray:
@@ -165,17 +162,20 @@ def _smallest(v: np.ndarray, a: int) -> np.ndarray:
 def resolve_count(a: float | int, n: int) -> int:
     """Turn a threshold given as a count or a fraction into a row count.
 
-    An integral value is taken as an absolute count in ``1..n``; a float in
-    (0, 1) is a fraction, converted as ``ceil(a * n)``.  ``1.0`` means all
-    rows.  ``a`` is taken exactly as the decimal it prints as: 0.55 of 100 is 55.
-    A bool is not a threshold.
+    The one threshold rule.  An integer or an integral float above 1, Python's
+    or numpy's, is a count in ``1..n``; any other real is a fraction in (0, 1],
+    converted as ``ceil(a * n)`` exactly from the decimal ``a`` prints as: 0.55
+    of 100 is 55.  Anything else (a bool, a string, a ``Decimal``) raises ``ValueError``.
     """
-    if isinstance(a, (bool, np.bool_)):
-        raise ValueError(f"threshold must be a count or a fraction, not a bool: {a!r}")
-    if isinstance(a, (int, np.integer)) or (isinstance(a, float) and a.is_integer() and a > 1):
+    if isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real):
+        raise ValueError(f"threshold must be a count or a fraction, not {type(a).__name__}: {a!r}")
+    if isinstance(a, numbers.Integral) or (
+        isinstance(a, (float, np.floating)) and a > 1 and float(a).is_integer()
+    ):
         count = int(a)
     elif 0 < a <= 1:
-        count = math.ceil(Fraction(repr(float(a))) * n) if a < 1 else n
+        num, den = Decimal(repr(float(a))).as_integer_ratio()
+        count = -(-num * n // den)
     else:
         raise ValueError(f"threshold must be a count in 1..{n} or a fraction in (0,1], got {a}")
     if not 1 <= count <= n:
@@ -234,8 +234,8 @@ def torrent(
             converged = True
             break
         r_prev = r_new
-    inliers = np.flatnonzero(active) + 1
-    return _fit_result(problem, beta, inliers, "Torrent", iterations, converged)
+    # r_new is the norm of beta's residuals on the returned active set
+    return RobustFit(beta, np.flatnonzero(active) + 1, iterations, r_new, converged, "Torrent")
 
 
 def _normal_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -343,12 +343,8 @@ def bfs(
     if len(listed) == 0:
         raise ValueError("candidate_sets must be non-empty")
     n, x, y = problem.n, problem.x, problem.y
-    if any(sets.shape[1] == 0 for _, sets in groups):
-        raise ValueError("candidate sets must be non-empty")
-    if any(sets.min() < 1 or sets.max() > n for _, sets in groups):
-        raise ValueError(f"candidate set indices must lie in 1..{n}")
-    if any(_repeats_an_index(sets) for _, sets in groups):
-        raise ValueError("candidate sets must not repeat an index")
+    for _, sets in groups:
+        _check_index_sets(sets, n, "candidate set")
     errs = np.empty(len(listed))
     for where, sets in groups:
         errs[where] = _subset_errors(x, y, sets)
@@ -381,9 +377,8 @@ def eta_condition(
         raise FeasibilityError(
             f"C({n},{a_count}) = {count} subsets exceeds the cap of {cap}"
         )
-    inl = np.unique(np.asarray(inliers, dtype=int).ravel())
-    if inl.size and (inl.min() < 1 or inl.max() > n):
-        raise ValueError(f"inlier indices must lie in 1..{n}")
+    inl = np.asarray(inliers, dtype=int).ravel()
+    _check_index_sets(inl[None, :], n, "inlier")
     is_inlier = np.zeros(n, dtype=bool)
     is_inlier[inl - 1] = True
     # ||X_V||_2^2 is the top eigenvalue of the sum of x_k x_k^T over k in V

@@ -25,10 +25,16 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .basis import BasisKind, BasisMatrix, build_basis, inverse_transform, transform
 from .errors import ConfigurationError
+
+
+def _check_positive(name: str, value: float) -> None:
+    """The one rule for a process or grid scale: positive and finite."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be positive, got {value}")
+
 
 @dataclass(frozen=True)
 class OUProcess:
@@ -38,8 +44,7 @@ class OUProcess:
     drift: float = -0.8
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ConfigurationError(f"OU sigma must be positive, got {self.sigma}")
+        _check_positive("OU sigma", self.sigma)
         if not (self.drift < 0 and math.isfinite(self.drift)):
             raise ConfigurationError(
                 f"OU drift must be negative (mean reversion), got {self.drift}"
@@ -62,10 +67,7 @@ class BandLimitedProcess:
     coeff_std: float = 1.0
 
     def __post_init__(self):
-        if not (self.coeff_std > 0 and math.isfinite(self.coeff_std)):
-            raise ConfigurationError(
-                f"coefficient std must be positive, got {self.coeff_std}"
-            )
+        _check_positive("coefficient std", self.coeff_std)
         if self.support is not None:
             sup = tuple(int(k) for k in self.support)
             if len(sup) == 0:
@@ -106,8 +108,7 @@ class SimConfig:
             raise ConfigurationError(f"n must be positive, got {self.n}")
         if self.d < 1:
             raise ConfigurationError(f"d must be positive, got {self.d}")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        _check_positive("horizon", self.horizon)
         if not 0.0 <= self.conf_prob <= 1.0:
             raise ConfigurationError(
                 f"conf_prob must lie in [0, 1], got {self.conf_prob}"
@@ -169,10 +170,13 @@ def sample_ou(
     and Var(zeta) = sigma^2 (1 - phi^2) / (-2 drift), which matches the
     continuous process on the grid exactly (no Euler bias).
     """
+    # only an OU path needs scipy.signal, and importing it costs about 0.5 s and 50 MiB
+    from scipy.signal import lfilter
+
     if n < 1:
         raise ConfigurationError(f"n must be positive, got {n}")
-    if sigma <= 0 or drift >= 0:
-        raise ConfigurationError("need sigma > 0 and drift < 0")
+    OUProcess(sigma, drift)  # checks them as the process class does
+    _check_positive("horizon", horizon)  # as SimConfig checks it
     dt = horizon / n
     phi = math.exp(drift * dt)
     stat_var = sigma * sigma / (-2.0 * drift)
@@ -191,26 +195,27 @@ def sample_band_limited(
 ) -> np.ndarray:
     """Random basis combination: coefficients ~ N(0, coeff_std^2) on ``support``.
 
-    ``support`` holds 1-based frequency indices and must fit inside 1..n;
-    out-of-range indices are an error, not clipped.
+    ``support`` and ``coeff_std`` are checked as ``BandLimitedProcess`` checks
+    them, and an index above n is an error, not clipped.
     """
-    return inverse_transform(_band_coefficients(basis.n, support, coeff_std, 1, rng), basis)[:, 0]
+    process = BandLimitedProcess(support, coeff_std)
+    return inverse_transform(_band_coefficients(process, basis.n, 1, rng), basis)[:, 0]
 
 
 def _band_coefficients(
-    n: int, support, coeff_std: float, columns: int, rng: np.random.Generator
+    process: BandLimitedProcess, n: int, columns: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(n, columns) coefficients ~ N(0, coeff_std^2) on ``support``, drawn column by column."""
-    support = np.asarray(list(support), dtype=int).ravel()
-    if support.size == 0:
-        raise ValueError("support must be non-empty")
-    if support.min() < 1 or support.max() > n:
+    """(n, columns) coefficients ~ N(0, coeff_std^2) on the support, drawn column by column."""
+    if process.support is None:  # the draws of support 1..n, C-ordered as the band path's
+        return np.ascontiguousarray(rng.normal(0.0, process.coeff_std, (columns, n)).T)
+    support = np.array(process.support)
+    if support.max() > n:
         raise ValueError(
             f"band support indices must lie in 1..{n}, got range "
             f"[{support.min()}, {support.max()}]"
         )
     coeffs = np.zeros((n, columns))
-    coeffs[support - 1] = rng.normal(0.0, coeff_std, (columns, support.size)).T
+    coeffs[support - 1] = rng.normal(0.0, process.coeff_std, (columns, support.size)).T
     return coeffs
 
 
@@ -224,9 +229,7 @@ def _process_coefficients(
     """Basis coefficients of ``columns`` independent draws of ``process``, shape (n, columns)."""
     n = basis.n
     if isinstance(process, BandLimitedProcess):
-        if process.support is None:  # the draws of support 1..n, C-ordered as the band path's
-            return np.ascontiguousarray(rng.normal(0.0, process.coeff_std, (columns, n)).T)
-        return _band_coefficients(n, process.support, process.coeff_std, columns, rng)
+        return _band_coefficients(process, n, columns, rng)
     if isinstance(process, OUProcess):
         paths = [sample_ou(n, horizon, process.sigma, process.drift, rng) for _ in range(columns)]
         return transform(np.column_stack(paths), basis)

@@ -1,0 +1,246 @@
+"""Each input rule has one implementation: every entry point accepts or rejects a value alike.
+
+The rules are the threshold ``a`` (``resolve_count``), the 1-based index sets
+of ``ols``, ``bfs`` and ``eta_condition``, the band support and coefficient
+std of a band-limited process, and the OU parameters with the grid horizon.
+Each table pairs an input with its verdict, and every entry point that takes
+the input must reach that verdict.
+"""
+
+import math
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from deconfound import (
+    BandLimitedProcess,
+    BasisKind,
+    ConfigurationError,
+    DecorConfig,
+    Method,
+    OUProcess,
+    RegressionProblem,
+    SimConfig,
+    bfs,
+    build_basis,
+    decor_fit,
+    eta_condition,
+    generate,
+    inverse_transform,
+    make_rng,
+    ols,
+    resolve_count,
+    sample_band_limited,
+    sample_ou,
+    torrent,
+)
+
+N = 16
+
+# (a, rows kept at n = 16); a count above n is left out: DecorConfig cannot know n
+ACCEPTED_THRESHOLDS = [
+    (1, 1),
+    (5, 5),
+    (np.int64(5), 5),
+    (12.0, 12),
+    (np.float32(12.0), 12),
+    (np.float64(12.0), 12),
+    (0.7, 12),
+    (np.float64(0.3), 5),
+    (np.float32(0.5), 8),
+    (Fraction(7, 10), 12),
+    (1.0, 16),
+    (np.float32(1.0), 16),
+]
+REJECTED_THRESHOLDS = [
+    0,
+    -3,
+    0.0,
+    -0.5,
+    1.5,
+    2.5,
+    np.float32(1.5),
+    np.float32(-0.5),
+    math.nan,
+    np.float32(math.nan),
+    math.inf,
+    True,
+    np.True_,
+    Fraction(3, 2),
+    Decimal("0.7"),
+    "0.7",
+    None,
+    0.5j,
+]
+
+
+@pytest.fixture(scope="module")
+def series():
+    x, y, _ = generate(SimConfig(n=N, seed=5))
+    return x, y
+
+
+class TestThresholdRule:
+    @pytest.mark.parametrize("a, count", ACCEPTED_THRESHOLDS, ids=repr)
+    def test_accepted_everywhere(self, series, a, count):
+        x, y = series
+        assert resolve_count(a, N) == count
+        assert torrent(RegressionProblem(x, y), a).inliers.size == count
+        for method in Method.TORRENT, Method.BFS:
+            assert decor_fit(x, y, DecorConfig(method=method, a=a)).inliers.size == count
+
+    @pytest.mark.parametrize("a", REJECTED_THRESHOLDS, ids=repr)
+    def test_rejected_everywhere(self, series, a):
+        x, y = series
+        with pytest.raises(ValueError, match="^a must be"):
+            DecorConfig(a=a)
+        with pytest.raises(ValueError):
+            resolve_count(a, N)
+        with pytest.raises(ValueError):
+            torrent(RegressionProblem(x, y), a)
+        for method in Method.TORRENT, Method.BFS:
+            config = DecorConfig(method=method)
+            object.__setattr__(config, "a", a)  # a config that skipped construction's check
+            with pytest.raises(ValueError):
+                decor_fit(x, y, config)
+
+
+ACCEPTED_INDEX_SETS = [[1, 2, 3, 4, 5, 6], [6, 2, 5, 1, 4, 3], [8], np.arange(1, 9)]
+REJECTED_INDEX_SETS = [
+    [],
+    [0, 1, 2],
+    [-1, 2],
+    [1, 2, 9],
+    [1, 1, 2],
+    [1, 2, 1],
+    [1, 1, 2, 3, 4, 5, 6],
+]
+
+
+@pytest.fixture(scope="module")
+def problem():
+    rng = np.random.default_rng(8)
+    return RegressionProblem(rng.normal(size=8), rng.normal(size=8))
+
+
+class TestIndexSetRule:
+    @pytest.mark.parametrize("rows", ACCEPTED_INDEX_SETS, ids=repr)
+    def test_accepted_everywhere(self, problem, rows):
+        assert np.isfinite(ols(problem, rows)).all()
+        for sets in [rows], np.array([rows]):
+            assert list(bfs(problem, sets).inliers) == sorted(rows)
+        assert eta_condition(problem, 6, rows) >= 0.0
+
+    @pytest.mark.parametrize("rows", REJECTED_INDEX_SETS, ids=repr)
+    def test_rejected_everywhere(self, problem, rows):
+        with pytest.raises(ValueError):
+            ols(problem, rows)
+        for sets in [rows], np.array([rows], dtype=int):
+            with pytest.raises(ValueError):
+                bfs(problem, sets)
+        with pytest.raises(ValueError):
+            eta_condition(problem, 6, rows)
+
+    def test_one_message_per_fault(self, problem):
+        for call in (
+            lambda rows: ols(problem, rows),
+            lambda rows: bfs(problem, [rows]),
+            lambda rows: eta_condition(problem, 6, rows),
+        ):
+            with pytest.raises(ValueError, match="s must be non-empty$"):
+                call([])
+            with pytest.raises(ValueError, match=r"indices must lie in 1\.\.8$"):
+                call([1, 9])
+            with pytest.raises(ValueError, match="must not repeat an index"):
+                call([1, 1, 2])
+
+
+# (support, coeff_std); an index above n is the n-dependent check, outside this rule
+ACCEPTED_BANDS = [([1, 2], 1.0), ([8, 3], 0.5), ((2,), 1e-3), (None, 1.0)]
+REJECTED_BANDS = [
+    ([1, 1], 1.0),
+    ([2], math.nan),
+    ([], 1.0),
+    ([0, 1], 1.0),
+    ([-2], 1.0),
+    ([1], 0.0),
+    ([1], -1.0),
+    ([1], math.inf),
+]
+
+
+class TestBandSupportRule:
+    @pytest.mark.parametrize("support, coeff_std", ACCEPTED_BANDS, ids=repr)
+    def test_accepted_everywhere(self, support, coeff_std):
+        BandLimitedProcess(support, coeff_std)
+        basis = build_basis(BasisKind.COSINE, 8)
+        assert np.isfinite(sample_band_limited(basis, support, coeff_std, make_rng(1))).all()
+
+    @pytest.mark.parametrize("support, coeff_std", REJECTED_BANDS, ids=repr)
+    def test_rejected_everywhere(self, support, coeff_std):
+        with pytest.raises(ConfigurationError):
+            BandLimitedProcess(support, coeff_std)
+        basis = build_basis(BasisKind.COSINE, 8)
+        with pytest.raises(ConfigurationError):
+            sample_band_limited(basis, support, coeff_std, make_rng(1))
+
+    def test_same_draws_as_the_process(self):
+        # sample_band_limited is one column of generate's band-limited draws
+        basis = build_basis(BasisKind.COSINE, 8)
+        for support in [3, 1], None:
+            path = sample_band_limited(basis, support, 0.5, make_rng(2))
+            reference = np.zeros(8)
+            rows = np.arange(8) if support is None else np.array(support) - 1
+            reference[rows] = make_rng(2).normal(0.0, 0.5, rows.size)
+            np.testing.assert_array_equal(path, inverse_transform(reference[:, None], basis)[:, 0])
+
+
+# (horizon, sigma, drift)
+ACCEPTED_OU = [(1.0, 1.0, -0.8), (2.5, 0.3, -5.0), (1e-3, 1e3, -1e-3)]
+REJECTED_OU = [
+    (1.0, math.nan, -0.8),
+    (0.0, 1.0, -0.8),
+    (-1.0, 1.0, -0.8),
+    (math.inf, 1.0, -0.8),
+    (math.nan, 1.0, -0.8),
+    (1.0, 0.0, -0.8),
+    (1.0, -1.0, -0.8),
+    (1.0, math.inf, -0.8),
+    (1.0, 1.0, 0.0),
+    (1.0, 1.0, 0.5),
+    (1.0, 1.0, -math.inf),
+    (1.0, 1.0, math.nan),
+]
+
+
+def ou_config(horizon, sigma, drift):
+    process = OUProcess(sigma, drift)
+    return SimConfig(n=8, horizon=horizon, eps_process=process, u_process=process, seed=4)
+
+
+class TestOUParameterRule:
+    @pytest.mark.parametrize("horizon, sigma, drift", ACCEPTED_OU, ids=repr)
+    def test_accepted_everywhere(self, horizon, sigma, drift):
+        assert np.isfinite(sample_ou(8, horizon, sigma, drift, make_rng(1))).all()
+        x, y, _ = generate(ou_config(horizon, sigma, drift))
+        assert np.isfinite(x).all() and np.isfinite(y).all()
+
+    @pytest.mark.parametrize("horizon, sigma, drift", REJECTED_OU, ids=repr)
+    def test_rejected_everywhere(self, horizon, sigma, drift):
+        with pytest.raises(ConfigurationError):
+            sample_ou(8, horizon, sigma, drift, make_rng(1))
+        with pytest.raises(ConfigurationError):
+            ou_config(horizon, sigma, drift)
+
+    @pytest.mark.parametrize("horizon, sigma, drift", ACCEPTED_OU + REJECTED_OU, ids=repr)
+    def test_process_verdict_is_the_samplers(self, horizon, sigma, drift):
+        def accepts(call, *args):
+            try:
+                call(*args)
+            except ConfigurationError:
+                return False
+            return True
+
+        assert accepts(OUProcess, sigma, drift) == accepts(sample_ou, 8, 1.0, sigma, drift, make_rng(1))

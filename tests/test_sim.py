@@ -1,7 +1,11 @@
 """Process samplers and the confounded-instance generator."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,20 @@ class TestOu:
             OUProcess(sigma=-1.0, drift=-0.5)
         with pytest.raises(ConfigurationError):
             OUProcess(sigma=1.0, drift=0.0)
+
+    def test_scipy_signal_is_imported_only_to_draw_a_path(self):
+        code = (
+            "import sys, deconfound, deconfound.bench, deconfound.cli\n"
+            "before = 'scipy.signal' in sys.modules\n"
+            "deconfound.sample_ou(4, 1.0, 1.0, -0.8, deconfound.make_rng(0))\n"
+            "print(before, 'scipy.signal' in sys.modules)"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        ).stdout
+        assert out == "False True\n"
 
 
 class TestBandLimited:
