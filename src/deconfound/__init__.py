@@ -19,13 +19,9 @@ from .basis import (
     transform,
 )
 from .bench import (
-    AblationKind,
     ExperimentSpec,
     ReplicateRecord,
     ResultRow,
-    SweepVerdict,
-    run_ablation,
-    run_consistency_sweep,
     run_experiment,
 )
 from .errors import ConfigurationError, FeasibilityError
@@ -87,9 +83,5 @@ __all__ = [
     "ExperimentSpec",
     "ResultRow",
     "ReplicateRecord",
-    "SweepVerdict",
-    "AblationKind",
     "run_experiment",
-    "run_consistency_sweep",
-    "run_ablation",
 ]

@@ -1,4 +1,4 @@
-"""Monte Carlo experiment harness: error sweeps, ablations, convergence stats.
+"""Monte Carlo experiment harness: every study is an ``ExperimentSpec`` (see ``specs/``).
 
 Each experiment cell (sample size, method) runs a fixed number of independent
 generate-then-fit replicates.  Replicate r of cell (n, method m) draws its
@@ -9,18 +9,16 @@ be reproduced in isolation and results do not depend on execution order.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 import numpy as np
 
 from .basis import build_basis
 from .errors import FeasibilityError
-from .pipeline import DecorConfig, Method, decor_fit
+from .pipeline import DecorConfig, Method, check_sample_count, decor_fit
 from .robust import resolve_count
-from .sim import SimConfig, generate, make_rng
+from .sim import SimConfig, check_support_fits, generate, make_rng
 
 RESULT_CSV_HEADER = "n,method,sigma_eta2,conf_prob,mae,mae_stderr,mean_iter,max_iter,failed"
 RECORD_CSV_HEADER = "n,method,sigma_eta2,conf_prob,replicate,abs_error,iterations,failed"
@@ -52,22 +50,22 @@ class ExperimentSpec:
             build_basis(self.sim.basis_kind, n)
         # every size below must fit the smallest grid entry, so no cell fails on it mid-run
         n = grid[0]
-        if self.sim.d > n:
-            raise ValueError(f"sim.d = {self.sim.d} exceeds the smallest grid size n={n}")
+        _check_at(n, f"sim.d = {self.sim.d}", check_sample_count, n, self.sim.d)
         for i, cfg in enumerate(self.methods):
             if cfg.method is not Method.OLS_BASELINE:
-                try:
-                    resolve_count(cfg.a, n)
-                except ValueError as e:
-                    raise ValueError(f"methods[{i}].a at the smallest grid size n={n}: {e}") from None
+                _check_at(n, f"methods[{i}].a", resolve_count, cfg.a, n)
         for name in ("eps_process", "u_process"):
-            support = getattr(getattr(self.sim, name), "support", None)
-            if support and max(support) > n:
-                raise ValueError(
-                    f"sim.{name} band support index {max(support)} exceeds the smallest grid size n={n}"
-                )
+            _check_at(n, f"sim.{name}", check_support_fits, getattr(self.sim, name), n)
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
+
+
+def _check_at(n: int, field: str, check, *args) -> None:
+    """Apply the rule that ``check`` owns; its error is re-raised behind ``field`` and ``n``."""
+    try:
+        check(*args)
+    except ValueError as e:
+        raise ValueError(f"{field} at the smallest grid size n={n}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -181,120 +179,6 @@ def run_experiment(spec: ExperimentSpec):
                     replicates_failed=len(cell) - len(fitted),
                 )
             )
-    return rows, records
-
-
-@dataclass(frozen=True)
-class SweepVerdict:
-    """Consistency-trend summary of an error-versus-n sweep.
-
-    ``robust_halved``: the robust method's MAE at the largest n fell below
-    half its value at the smallest n.  ``baseline_floor_held``: plain least
-    squares stayed above ``floor`` times its smallest-n MAE, i.e. showed no
-    comparable improvement.
-    """
-
-    robust_halved: bool
-    baseline_floor_held: bool
-    robust_first: float
-    robust_last: float
-    baseline_first: float
-    baseline_last: float
-
-
-def run_consistency_sweep(spec: ExperimentSpec, floor: float = 0.5):
-    """Error-versus-n sweep of the robust pipeline against plain least squares.
-
-    Returns ``(rows, records, verdict)``.  The method list is forced to the
-    pair (robust, baseline): the first torrent entry of ``spec.methods`` is
-    used as the robust configuration (defaults otherwise) and the baseline
-    shares its basis.
-    """
-    if len(spec.n_grid) < 4:
-        raise ValueError("a consistency sweep needs at least 4 grid points")
-    tor = next(
-        (m for m in spec.methods if m.method is Method.TORRENT),
-        DecorConfig(),
-    )
-    ols = DecorConfig(basis_kind=tor.basis_kind, method=Method.OLS_BASELINE)
-    pair_spec = replace(spec, methods=(tor, ols))
-    rows, records = run_experiment(pair_spec)
-    tor_by_n = {r.n: r.mae for r in rows if r.method == "DecoR-Tor"}
-    ols_by_n = {r.n: r.mae for r in rows if r.method == "OLS"}
-    n_lo, n_hi = spec.n_grid[0], spec.n_grid[-1]
-    verdict = SweepVerdict(
-        robust_halved=tor_by_n[n_hi] < 0.5 * tor_by_n[n_lo],
-        baseline_floor_held=ols_by_n[n_hi] > floor * ols_by_n[n_lo],
-        robust_first=tor_by_n[n_lo],
-        robust_last=tor_by_n[n_hi],
-        baseline_first=ols_by_n[n_lo],
-        baseline_last=ols_by_n[n_hi],
-    )
-    return rows, records, verdict
-
-
-class AblationKind(str, enum.Enum):
-    OUTLIER_FRACTION = "outlier_fraction"
-    DENSE_NOISE = "dense_noise"
-    TWO_DIM = "two_dim"
-
-
-DEFAULT_FRACTION_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
-
-
-def run_ablation(
-    kind: AblationKind,
-    spec: ExperimentSpec,
-    fraction_grid: tuple[float, ...] = DEFAULT_FRACTION_GRID,
-    margin: float = 0.05,
-):
-    """Robustness/misspecification studies; returns ``(rows, records)``.
-
-    * outlier_fraction — sweep the confounded fraction over ``fraction_grid``
-      at the largest grid n, keeping ``ceil((1 - fraction - margin) * n)``
-      rows.  The count is computed exactly from the decimals the fractions
-      print as: in floats ``1.0 - 0.7 - 0.05`` exceeds 0.25 and would keep
-      129 of 512 rows instead of 128.
-    * dense_noise — unit-variance Gaussian noise added to the confounder path
-      (the sparsity assumption is deliberately broken), swept over n.
-    * two_dim — two covariate columns sharing one confounder, swept over n,
-      against the least-squares baseline.
-    """
-    kind = AblationKind(kind)
-    rows: list[ResultRow] = []
-    records: list[ReplicateRecord] = []
-    if kind is AblationKind.OUTLIER_FRACTION:
-        n = spec.n_grid[-1]
-        for q in fraction_grid:
-            keep = 1 - Fraction(str(float(q))) - Fraction(str(float(margin)))
-            if keep <= 0:
-                raise ValueError(f"confounded fraction {q} leaves no inliers")
-            sub = replace(
-                spec,
-                sim=replace(spec.sim, conf_prob=q),
-                n_grid=(n,),
-                methods=(DecorConfig(basis_kind=spec.sim.basis_kind, a=math.ceil(keep * n)),),
-            )
-            r, rec = run_experiment(sub)
-            rows.extend(r)
-            records.extend(rec)
-    elif kind is AblationKind.DENSE_NOISE:
-        sub = replace(
-            spec,
-            sim=replace(spec.sim, dense_u_noise_std=1.0),
-            methods=(DecorConfig(basis_kind=spec.sim.basis_kind),),
-        )
-        rows, records = run_experiment(sub)
-    else:
-        sub = replace(
-            spec,
-            sim=replace(spec.sim, d=2),
-            methods=(
-                DecorConfig(basis_kind=spec.sim.basis_kind),
-                DecorConfig(basis_kind=spec.sim.basis_kind, method=Method.OLS_BASELINE),
-            ),
-        )
-        rows, records = run_experiment(sub)
     return rows, records
 
 

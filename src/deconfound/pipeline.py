@@ -112,6 +112,12 @@ def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
     return 1.0 - ssr / sst
 
 
+def check_sample_count(n: int, d: int) -> None:
+    """The one rule for a sample count against the covariates: at least as many samples."""
+    if n < d:
+        raise ValueError(f"need at least as many samples as covariates ({n} < {d})")
+
+
 def decor_fit(
     x: np.ndarray,
     y: np.ndarray,
@@ -137,8 +143,7 @@ def decor_fit(
     data = robust.RegressionProblem(x, y)
     x, y = data.x, data.y
     n, d = x.shape
-    if n < d:
-        raise ValueError(f"need at least as many samples as covariates ({n} < {d})")
+    check_sample_count(n, d)
 
     basis = build_basis(config.basis_kind, n)
     xy_freq = transform(np.column_stack([x, y]), basis)

@@ -86,6 +86,20 @@ class RobustFit:
     method: str
 
 
+def _as_indices(values, what: str, error=ValueError) -> np.ndarray:
+    """``values`` as an ``intp`` array, the cast of the one index-set rule: an integer
+    array passes on its dtype alone, whole-number floats convert, anything else raises."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.intp, copy=False)
+    if arr.dtype.kind != "f":
+        raise error(f"{what} indices must be integers, got dtype {arr.dtype}")
+    whole = (arr == np.floor(arr)) & (np.abs(arr) < 2**53)  # false for NaN and inf
+    if not whole.all():
+        raise error(f"{what} indices must be integers, got {arr[~whole].flat[0]}")
+    return arr.astype(np.intp)
+
+
 def _check_index_sets(sets: np.ndarray, n: int, what: str) -> None:
     """The one index-set rule: each row of the (C, s) array ``sets`` is non-empty,
     lies in 1..n and repeats no index; ``what`` names a set in the message.
@@ -132,7 +146,7 @@ def ols(problem: RegressionProblem, subset: Sequence[int] | None = None) -> np.n
     """
     if subset is None:
         return _lstsq(problem.x, problem.y)
-    rows = np.asarray(subset, dtype=int).ravel()
+    rows = _as_indices(subset, "subset").ravel()
     _check_index_sets(rows[None, :], problem.n, "subset")
     return _lstsq(problem.x[rows - 1], problem.y[rows - 1])
 
@@ -333,20 +347,19 @@ def bfs(
     ``ols`` gives it.
     """
     if isinstance(candidate_sets, np.ndarray) and candidate_sets.ndim == 2:
-        listed = np.asarray(candidate_sets, dtype=np.intp)
+        listed = _as_indices(candidate_sets, "candidate set")
         groups = [(slice(None), listed)]
     else:  # ragged input: one kernel call per set size
-        listed = [np.asarray(s, dtype=np.intp).ravel() for s in candidate_sets]
+        listed = [_as_indices(s, "candidate set").ravel() for s in candidate_sets]
         sizes = np.array([s.size for s in listed])
         wheres = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
         groups = [(w, np.array([listed[i] for i in w])) for w in wheres]
     if len(listed) == 0:
         raise ValueError("candidate_sets must be non-empty")
     n, x, y = problem.n, problem.x, problem.y
-    for _, sets in groups:
-        _check_index_sets(sets, n, "candidate set")
     errs = np.empty(len(listed))
     for where, sets in groups:
+        _check_index_sets(sets, n, "candidate set")
         errs[where] = _subset_errors(x, y, sets)
     tau = 16 * _EPS * float(y @ y) / n
     winner = np.sort(listed[int(np.argmax(errs <= errs.min() + tau))])
@@ -377,7 +390,7 @@ def eta_condition(
         raise FeasibilityError(
             f"C({n},{a_count}) = {count} subsets exceeds the cap of {cap}"
         )
-    inl = np.asarray(inliers, dtype=int).ravel()
+    inl = _as_indices(inliers, "inlier").ravel()
     _check_index_sets(inl[None, :], n, "inlier")
     is_inlier = np.zeros(n, dtype=bool)
     is_inlier[inl - 1] = True

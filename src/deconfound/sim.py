@@ -28,6 +28,7 @@ import numpy as np
 
 from .basis import BasisKind, BasisMatrix, build_basis, inverse_transform, transform
 from .errors import ConfigurationError
+from .robust import _as_indices
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -69,7 +70,7 @@ class BandLimitedProcess:
     def __post_init__(self):
         _check_positive("coefficient std", self.coeff_std)
         if self.support is not None:
-            sup = tuple(int(k) for k in self.support)
+            sup = tuple(_as_indices(self.support, "band support", ConfigurationError).tolist())
             if len(sup) == 0:
                 raise ConfigurationError("band support must be non-empty")
             if min(sup) < 1:
@@ -202,18 +203,20 @@ def sample_band_limited(
     return inverse_transform(_band_coefficients(process, basis.n, 1, rng), basis)[:, 0]
 
 
+def check_support_fits(process: ProcessKind, n: int) -> None:
+    """The one rule for a process against the sample count: no band support index above n."""
+    if isinstance(process, BandLimitedProcess) and process.support and max(process.support) > n:
+        raise ValueError(f"band support index {max(process.support)} is not in 1..{n}")
+
+
 def _band_coefficients(
     process: BandLimitedProcess, n: int, columns: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n, columns) coefficients ~ N(0, coeff_std^2) on the support, drawn column by column."""
     if process.support is None:  # the draws of support 1..n, C-ordered as the band path's
         return np.ascontiguousarray(rng.normal(0.0, process.coeff_std, (columns, n)).T)
+    check_support_fits(process, n)
     support = np.array(process.support)
-    if support.max() > n:
-        raise ValueError(
-            f"band support indices must lie in 1..{n}, got range "
-            f"[{support.min()}, {support.max()}]"
-        )
     coeffs = np.zeros((n, columns))
     coeffs[support - 1] = rng.normal(0.0, process.coeff_std, (columns, support.size)).T
     return coeffs

@@ -1,33 +1,31 @@
-"""Experiment harness: determinism, aggregation, ablations, CSV output."""
+"""Experiment harness: determinism, aggregation, spec sizes, CSV output."""
 
 import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from deconfound import (
-    AblationKind,
     BandLimitedProcess,
     ConfigurationError,
     DecorConfig,
     ExperimentSpec,
     Method,
     SimConfig,
-    resolve_count,
-    run_ablation,
-    run_consistency_sweep,
     run_experiment,
 )
-from deconfound import bench
 from deconfound.bench import (
-    DEFAULT_FRACTION_GRID,
     RECORD_CSV_HEADER,
     RESULT_CSV_HEADER,
     method_labels,
     write_rows,
 )
+from deconfound.cli import load_experiment_spec
+
+REPO_SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def small_spec(**kw):
@@ -48,14 +46,19 @@ class TestSpecSizes:
     @pytest.mark.parametrize(
         "kw, message",
         [
-            (dict(sim=SimConfig(n=8, d=12)), r"^sim\.d = 12 exceeds the smallest grid size n=8$"),
+            (
+                dict(sim=SimConfig(n=8, d=12)),
+                r"^sim\.d = 12 at the smallest grid size n=8: "
+                r"need at least as many samples as covariates \(8 < 12\)$",
+            ),
             (
                 dict(methods=(DecorConfig(a=12),)),
                 r"^methods\[0\]\.a at the smallest grid size n=8: threshold count 12 out of range",
             ),
             (
                 dict(sim=SimConfig(n=8, u_process=BandLimitedProcess(support=(1, 12)))),
-                r"^sim\.u_process band support index 12 exceeds the smallest grid size n=8$",
+                r"^sim\.u_process at the smallest grid size n=8: "
+                r"band support index 12 is not in 1\.\.8$",
             ),
         ],
         ids=["d", "a", "support"],
@@ -145,52 +148,15 @@ class TestRunExperiment:
             assert r.mae <= 1e-8, (r.method, r.mae)
 
 
-class TestSweepAndAblation:
-    def test_consistency_sweep_verdict(self):
-        spec = small_spec(n_grid=(16, 32, 64, 128), replicates=40)
-        rows, _, verdict = run_consistency_sweep(spec)
-        assert {r.method for r in rows} == {"DecoR-Tor", "OLS"}
-        assert verdict.robust_halved
-        assert verdict.baseline_floor_held
-        assert verdict.robust_last < verdict.robust_first
-
-    def test_sweep_needs_four_points(self):
-        with pytest.raises(ValueError):
-            run_consistency_sweep(small_spec(n_grid=(8, 16)))
-
-    def test_outlier_fraction_rows(self):
-        spec = small_spec(n_grid=(64,), replicates=10)
-        rows, _ = run_ablation(AblationKind.OUTLIER_FRACTION, spec, fraction_grid=(0.1, 0.3))
-        assert [r.conf_prob for r in rows] == [0.1, 0.3]
-        assert all(r.n == 64 for r in rows)
-
-    @pytest.mark.parametrize("n", [64, 100, 512, 1000])
-    def test_outlier_fraction_keep_counts_are_exact(self, monkeypatch, n):
+class TestFractionSpecs:
+    @pytest.mark.parametrize("name", ["criterion9_fraction50.json", "criterion9_fraction70.json"])
+    def test_keep_count_is_exact(self, name):
         # ceil((1 - q - 0.05) n) in exact rational arithmetic; in floats
         # 1.0 - 0.7 - 0.05 is 0.25000000000000006, which keeps 129 of 512 rows
-        decimals = ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7")
-        assert DEFAULT_FRACTION_GRID == tuple(float(q) for q in decimals)
-        seen = []
-
-        def capture(spec):
-            seen.append(resolve_count(spec.methods[0].a, spec.n_grid[0]))
-            return [], []
-
-        monkeypatch.setattr(bench, "run_experiment", capture)
-        run_ablation(AblationKind.OUTLIER_FRACTION, small_spec(n_grid=(n,)), margin=0.05)
-        assert seen == [
-            math.ceil((1 - Fraction(q) - Fraction("0.05")) * n) for q in decimals
-        ]
-
-    def test_dense_noise_rows(self):
-        spec = small_spec(n_grid=(16, 32), replicates=10)
-        rows, _ = run_ablation(AblationKind.DENSE_NOISE, spec)
-        assert [r.n for r in rows] == [16, 32]
-
-    def test_two_dim_rows(self):
-        spec = small_spec(n_grid=(32,), replicates=10)
-        rows, _ = run_ablation(AblationKind.TWO_DIM, spec)
-        assert {r.method for r in rows} == {"DecoR-Tor", "OLS"}
+        spec = load_experiment_spec(REPO_SPECS / name)
+        (n,), (method,) = spec.n_grid, spec.methods
+        q = Fraction(repr(spec.sim.conf_prob))
+        assert method.a == math.ceil((1 - q - Fraction("0.05")) * n)
 
 
 class TestCsvOutput:

@@ -272,11 +272,13 @@ class TestExperiment:
         assert "/methods/0" in capsys.readouterr().err
 
     def test_shipped_specs_validate(self):
-        for name in ("table1.json", "table1_noiseless.json"):
-            spec = load_experiment_spec(REPO_SPECS / name)
-            assert spec.n_grid == (8, 12, 16)
-            assert spec.replicates == 1000
-            assert len(spec.methods) == 3
+        # every shipped spec loads, and the acceptance gate runs each one
+        acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+        paths = sorted(REPO_SPECS.glob("*.json"))
+        assert paths
+        for path in paths:
+            load_experiment_spec(path)
+            assert f'"{path.name}"' in acceptance, f"{path.name} is not run by the acceptance gate"
 
 
 

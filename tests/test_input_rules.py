@@ -1,13 +1,16 @@
 """Each input rule has one implementation: every entry point accepts or rejects a value alike.
 
 The rules are the threshold ``a`` (``resolve_count``), the 1-based index sets
-of ``ols``, ``bfs`` and ``eta_condition``, the band support and coefficient
-std of a band-limited process, and the OU parameters with the grid horizon.
+of ``ols``, ``bfs``, ``eta_condition`` and a band support, the band support and
+coefficient std of a band-limited process, the OU parameters with the grid
+horizon, and the two sizes a sample count must hold: the covariates
+(``check_sample_count``) and a band support (``check_support_fits``).
 Each table pairs an input with its verdict, and every entry point that takes
 the input must reach that verdict.
 """
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -19,6 +22,7 @@ from deconfound import (
     BasisKind,
     ConfigurationError,
     DecorConfig,
+    ExperimentSpec,
     Method,
     OUProcess,
     RegressionProblem,
@@ -36,6 +40,8 @@ from deconfound import (
     sample_ou,
     torrent,
 )
+from deconfound.pipeline import check_sample_count
+from deconfound.sim import check_support_fits
 
 N = 16
 
@@ -108,6 +114,8 @@ class TestThresholdRule:
 
 
 ACCEPTED_INDEX_SETS = [[1, 2, 3, 4, 5, 6], [6, 2, 5, 1, 4, 3], [8], np.arange(1, 9)]
+# integers of any width pass, and so do whole-number floats
+ACCEPTED_INDEX_SETS += [np.int32([6, 2, 5, 1, 4, 3]), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]
 REJECTED_INDEX_SETS = [
     [],
     [0, 1, 2],
@@ -116,6 +124,17 @@ REJECTED_INDEX_SETS = [
     [1, 1, 2],
     [1, 2, 1],
     [1, 1, 2, 3, 4, 5, 6],
+]
+# indices that are not integers: rejected, never truncated to integers
+NON_INTEGRAL_INDEX_SETS = [
+    [1.7, 2.2, 3.9],
+    [1.5, 2.5, 3.5],
+    [1.5, 2, 3, 4, 5, 6],
+    np.array([1.5, 2.9]),
+    [1, math.nan],
+    [1, math.inf],
+    ["2"],
+    [True],
 ]
 
 
@@ -142,6 +161,19 @@ class TestIndexSetRule:
                 bfs(problem, sets)
         with pytest.raises(ValueError):
             eta_condition(problem, 6, rows)
+
+    @pytest.mark.parametrize("rows", NON_INTEGRAL_INDEX_SETS, ids=repr)
+    def test_non_integral_rejected_everywhere(self, problem, rows):
+        for call in (
+            lambda: ols(problem, rows),
+            lambda: bfs(problem, [rows]),
+            lambda: bfs(problem, np.array([rows])),
+            lambda: eta_condition(problem, 6, rows),
+        ):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                call()
+        with pytest.raises(ConfigurationError, match="^band support indices must be integers"):
+            BandLimitedProcess(rows)
 
     def test_one_message_per_fault(self, problem):
         for call in (
@@ -244,3 +276,49 @@ class TestOUParameterRule:
             return True
 
         assert accepts(OUProcess, sigma, drift) == accepts(sample_ou, 8, 1.0, sigma, drift, make_rng(1))
+
+
+def one_cell(sim):
+    """A spec of ``sim`` at its own n; its one method has no threshold to check."""
+    methods = (DecorConfig(method=Method.OLS_BASELINE),)
+    return ExperimentSpec(sim=sim, n_grid=(sim.n,), methods=methods)
+
+
+BAND_TO_8 = BandLimitedProcess((1, 8))
+# each size rule: its owner and the calls that apply it, all as functions of the sample count n;
+# every call must hold d = 8 covariates, or a band support that reaches index 8
+SIZE_RULES = {
+    "d": (
+        lambda n: check_sample_count(n, 8),
+        [
+            lambda n: decor_fit(np.eye(n, 8), np.ones(n), DecorConfig(method=Method.OLS_BASELINE)),
+            lambda n: one_cell(SimConfig(n=n, d=8)),
+        ],
+    ),
+    "support": (
+        lambda n: check_support_fits(BAND_TO_8, n),
+        [
+            lambda n: generate(SimConfig(n=n, u_process=BAND_TO_8)),
+            lambda n: sample_band_limited(build_basis("cosine", n), (1, 8), 1.0, make_rng(1)),
+            lambda n: one_cell(SimConfig(n=n, u_process=BAND_TO_8)),
+        ],
+    ),
+}
+
+
+class TestSizeRules:
+    @pytest.mark.parametrize("rule", SIZE_RULES)
+    def test_held_everywhere(self, rule):
+        owner, calls = SIZE_RULES[rule]
+        owner(8)
+        for call in calls:
+            call(8)
+
+    @pytest.mark.parametrize("rule", SIZE_RULES)
+    def test_broken_with_the_owners_message(self, rule):
+        owner, calls = SIZE_RULES[rule]
+        with pytest.raises(ValueError) as info:
+            owner(7)
+        for call in calls:  # ExperimentSpec puts its location in front of the message
+            with pytest.raises(ValueError, match=re.escape(str(info.value)) + "$"):
+                call(7)

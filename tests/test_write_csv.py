@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from deconfound import (
-    AblationKind,
     BasisKind,
     DecorConfig,
     ExperimentSpec,
     SimConfig,
     build_basis,
     decor_fit,
-    run_ablation,
     run_experiment,
 )
 from deconfound.bench import RECORD_CSV_HEADER, RESULT_CSV_HEADER, write_rows
@@ -147,11 +145,3 @@ class TestNumbersReadBack:
         lines = self._assert_numeric_cells(tmp_path / "rows.csv", RESULT_CSV_HEADER)
         assert lines[1][2:4] == ["0.5", "0.25"]
         self._assert_numeric_cells(tmp_path / "records.csv", RECORD_CSV_HEADER)
-
-    def test_fraction_grid_from_an_array(self, tmp_path):
-        spec = ExperimentSpec(sim=SimConfig(n=16), n_grid=(16,), replicates=2)
-        grid = tuple(np.array([0.1, 0.2]))
-        rows, _ = run_ablation(AblationKind.OUTLIER_FRACTION, spec, fraction_grid=grid)
-        write_rows(tmp_path / "rows.csv", RESULT_CSV_HEADER, rows)
-        lines = self._assert_numeric_cells(tmp_path / "rows.csv", RESULT_CSV_HEADER)
-        assert [line[3] for line in lines[1:]] == ["0.1", "0.2"]
