@@ -44,8 +44,6 @@ from .sim import (
     SimConfig,
     generate,
     make_rng,
-    sample_band_limited,
-    sample_ou,
 )
 
 __all__ = [
@@ -77,8 +75,6 @@ __all__ = [
     "SimConfig",
     "GroundTruth",
     "make_rng",
-    "sample_ou",
-    "sample_band_limited",
     "generate",
     "ExperimentSpec",
     "ResultRow",

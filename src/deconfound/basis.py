@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 
 DENSE_MAX_N = 256  # largest n transformed by a matrix product; see the module docstring
 
@@ -73,8 +73,7 @@ class BasisMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", BasisKind(self.kind))
-        if self.n < 1:
-            raise ConfigurationError(f"sample count must be positive, got n={self.n}")
+        object.__setattr__(self, "n", check_count("n", self.n))
         if self.kind is BasisKind.HAAR and not _is_power_of_two(self.n):
             raise ConfigurationError(
                 f"the Haar basis requires the sample count to be a power of two, got n={self.n}"

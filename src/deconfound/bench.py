@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .basis import build_basis
-from .errors import FeasibilityError
+from .errors import FeasibilityError, check_count
 from .pipeline import DecorConfig, Method, check_sample_count, decor_fit
 from .robust import resolve_count
 from .sim import SimConfig, check_support_fits, generate, make_rng
@@ -39,13 +39,15 @@ class ExperimentSpec:
     seed_base: int = 0
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(check_count("n_grid entry", n) for n in self.n_grid)
         if not grid:
             raise ValueError("n_grid must be non-empty")
         if list(grid) != sorted(grid):
             raise ValueError("n_grid must be sorted ascending")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if not self.methods:
+            raise ValueError("methods must be non-empty")
+        for name, low in ("replicates", 1), ("seed_base", 0):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         for n in grid:
             build_basis(self.sim.basis_kind, n)
         # every size below must fit the smallest grid entry, so no cell fails on it mid-run

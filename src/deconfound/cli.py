@@ -36,7 +36,7 @@ from .bench import (
 )
 from .errors import ConfigurationError, FeasibilityError
 from .pipeline import SCHEMA_VERSION, DecorConfig, Method, decor_fit
-from .sim import BandLimitedProcess, OUProcess, SimConfig, generate
+from .sim import BandLimitedProcess, OUProcess, SimConfig, _check_positive, generate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -186,8 +186,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_deconfound(args) -> int:
-    if not args.horizon > 0:
-        raise InputFormatError(f"--horizon must be positive, got {args.horizon}")
+    _check_positive("--horizon", args.horizon)
     est, y = _fit_from_args(args)
     n = len(y)
     t = np.arange(1, n + 1) * (args.horizon / n)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one rule for a size or a count, shared across the package."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -7,3 +9,19 @@ class ConfigurationError(ValueError):
 
 class FeasibilityError(RuntimeError):
     """A requested computation is combinatorially infeasible (e.g. too many candidate sets)."""
+
+
+def check_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an ``int`` of at least ``low``: the one rule for a size or a count.
+
+    Python and numpy integers pass, and whole-number floats such as ``8.0`` convert; a
+    bool, any other float, NaN, infinity and a non-number raise ``ConfigurationError``.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()  # false for NaN and inf
+    )
+    if isinstance(value, bool) or not integral:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigurationError(f"{name} must be >= {low}")
+    return int(value)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import robust
 from .basis import BasisKind, build_basis, inverse_transform, transform
+from .errors import check_count
 
 SCHEMA_VERSION = "1"
 
@@ -57,10 +58,8 @@ class DecorConfig:
             raise ValueError(
                 f"a must be a fraction in (0,1] or a positive count, got {self.a!r}"
             ) from None
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.bfs_cap < 1:
-            raise ValueError("bfs_cap must be >= 1")
+        for name in "max_iter", "bfs_cap":
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FeasibilityError
+from .errors import FeasibilityError, check_count
 
 SUBSET_ENUMERATION_CAP = 10_000_000
 _CHUNK_SETS = 4096  # candidate sets fitted per batch; bounds the working memory
@@ -221,8 +221,7 @@ def torrent(
         Number of rows kept by each thresholding step, or a fraction of n
         (converted as ``ceil(a * n)``).
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = check_count("max_iter", max_iter)
     n, d = problem.n, problem.d
     a_count = resolve_count(a, n)
     if a_count < d:

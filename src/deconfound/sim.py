@@ -8,10 +8,11 @@ The generative model is
 where the confounder U is made exactly sparse in the chosen basis: its basis
 coefficients are zeroed off the confounded index set G.  Every process, the
 confounder and each of the d covariate-noise columns eps_X, is drawn as basis
-coefficients: a band-limited process draws them directly, an
-Ornstein-Uhlenbeck process samples its paths and transforms them in one call.
-One inverse transform of the (n, 1 + d) coefficient array then gives U and
-eps_X in the time domain.
+coefficients, and each process class draws its own: a band-limited process
+draws them directly, an Ornstein-Uhlenbeck process samples its paths and
+transforms them in one call.  A process is checked when it is constructed, so
+its draw checks nothing again.  One inverse transform of the (n, 1 + d)
+coefficient array then gives U and eps_X in the time domain.
 
 Randomness flows through a counter-based (Philox) generator so that replicate
 streams can be split reproducibly; ``generate`` with the same config and seed
@@ -27,7 +28,7 @@ from typing import Union
 import numpy as np
 
 from .basis import BasisKind, BasisMatrix, build_basis, inverse_transform, transform
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 from .robust import _as_indices
 
 
@@ -50,6 +51,27 @@ class OUProcess:
             raise ConfigurationError(
                 f"OU drift must be negative (mean reversion), got {self.drift}"
             )
+
+    def _coefficients(
+        self, basis: BasisMatrix, columns: int, horizon: float, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Basis coefficients of ``columns`` stationary paths, shape (n, columns).
+
+        Each path is sampled at spacing dt = horizon / n.  Its first sample is drawn
+        from the stationary law N(0, sigma^2 / (-2 drift)), and the recursion is
+        V_{k+1} = phi V_k + zeta_k with phi = exp(drift * dt) and
+        Var(zeta) = sigma^2 (1 - phi^2) / (-2 drift), which matches the continuous
+        process on the grid exactly (no Euler bias).
+        """
+        # only an OU path needs scipy.signal, and importing it costs about 0.5 s and 50 MiB
+        from scipy.signal import lfilter
+
+        phi = math.exp(self.drift * (horizon / basis.n))
+        stat_var = self.sigma * self.sigma / (-2.0 * self.drift)
+        z = rng.normal(0.0, 1.0, (columns, basis.n))  # path by path, n draws each
+        z[:, 0] *= math.sqrt(stat_var)
+        z[:, 1:] *= math.sqrt(stat_var * (1.0 - phi * phi))
+        return transform(np.ascontiguousarray(lfilter([1.0], [1.0, -phi], z).T), basis)
 
 
 @dataclass(frozen=True)
@@ -79,6 +101,18 @@ class BandLimitedProcess:
                 raise ConfigurationError("band support indices must be distinct")
             object.__setattr__(self, "support", sup)
 
+    def _coefficients(
+        self, basis: BasisMatrix, columns: int, horizon: float, rng: np.random.Generator
+    ) -> np.ndarray:
+        """(n, columns) coefficients ~ N(0, coeff_std^2) on the support, drawn column by column."""
+        check_support_fits(self, basis.n)
+        full = self.support is None
+        rows = slice(None) if full else np.array(self.support) - 1
+        size = basis.n if full else len(self.support)
+        coeffs = np.zeros((basis.n, columns))
+        coeffs[rows] = rng.normal(0.0, self.coeff_std, (columns, size)).T
+        return coeffs
+
 
 ProcessKind = Union[OUProcess, BandLimitedProcess]
 
@@ -105,10 +139,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError(f"n must be positive, got {self.n}")
-        if self.d < 1:
-            raise ConfigurationError(f"d must be positive, got {self.d}")
+        for name, low in ("n", 1), ("d", 1), ("seed", 0):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
+        for process in self.eps_process, self.u_process:
+            if not isinstance(process, ProcessKind):
+                raise ConfigurationError(f"unknown process kind: {process!r}")
         _check_positive("horizon", self.horizon)
         if not 0.0 <= self.conf_prob <= 1.0:
             raise ConfigurationError(
@@ -157,86 +192,10 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_ou(
-    n: int,
-    horizon: float,
-    sigma: float,
-    drift: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Exact-discretization stationary OU path at spacing horizon / n.
-
-    The first sample is drawn from the stationary law N(0, sigma^2 / (-2 drift))
-    and the recursion is V_{k+1} = phi V_k + zeta_k with phi = exp(drift * dt)
-    and Var(zeta) = sigma^2 (1 - phi^2) / (-2 drift), which matches the
-    continuous process on the grid exactly (no Euler bias).
-    """
-    # only an OU path needs scipy.signal, and importing it costs about 0.5 s and 50 MiB
-    from scipy.signal import lfilter
-
-    if n < 1:
-        raise ConfigurationError(f"n must be positive, got {n}")
-    OUProcess(sigma, drift)  # checks them as the process class does
-    _check_positive("horizon", horizon)  # as SimConfig checks it
-    dt = horizon / n
-    phi = math.exp(drift * dt)
-    stat_var = sigma * sigma / (-2.0 * drift)
-    innov_sd = math.sqrt(stat_var * (1.0 - phi * phi))
-    z = rng.normal(0.0, 1.0, n)
-    z[0] *= math.sqrt(stat_var)
-    z[1:] *= innov_sd
-    return lfilter([1.0], [1.0, -phi], z)
-
-
-def sample_band_limited(
-    basis: BasisMatrix,
-    support,
-    coeff_std: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Random basis combination: coefficients ~ N(0, coeff_std^2) on ``support``.
-
-    ``support`` and ``coeff_std`` are checked as ``BandLimitedProcess`` checks
-    them, and an index above n is an error, not clipped.
-    """
-    process = BandLimitedProcess(support, coeff_std)
-    return inverse_transform(_band_coefficients(process, basis.n, 1, rng), basis)[:, 0]
-
-
 def check_support_fits(process: ProcessKind, n: int) -> None:
     """The one rule for a process against the sample count: no band support index above n."""
     if isinstance(process, BandLimitedProcess) and process.support and max(process.support) > n:
         raise ValueError(f"band support index {max(process.support)} is not in 1..{n}")
-
-
-def _band_coefficients(
-    process: BandLimitedProcess, n: int, columns: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(n, columns) coefficients ~ N(0, coeff_std^2) on the support, drawn column by column."""
-    if process.support is None:  # the draws of support 1..n, C-ordered as the band path's
-        return np.ascontiguousarray(rng.normal(0.0, process.coeff_std, (columns, n)).T)
-    check_support_fits(process, n)
-    support = np.array(process.support)
-    coeffs = np.zeros((n, columns))
-    coeffs[support - 1] = rng.normal(0.0, process.coeff_std, (columns, support.size)).T
-    return coeffs
-
-
-def _process_coefficients(
-    process: ProcessKind,
-    basis: BasisMatrix,
-    columns: int,
-    horizon: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Basis coefficients of ``columns`` independent draws of ``process``, shape (n, columns)."""
-    n = basis.n
-    if isinstance(process, BandLimitedProcess):
-        return _band_coefficients(process, n, columns, rng)
-    if isinstance(process, OUProcess):
-        paths = [sample_ou(n, horizon, process.sigma, process.drift, rng) for _ in range(columns)]
-        return transform(np.column_stack(paths), basis)
-    raise ConfigurationError(f"unknown process kind: {process!r}")
 
 
 def confounded_set_size(conf_prob: float, n: int) -> int:
@@ -273,8 +232,8 @@ def generate(config: SimConfig, rng: np.random.Generator | None = None):
         g_set = np.empty(0, dtype=int)
 
     coeffs = np.hstack([
-        _process_coefficients(config.u_process, basis, 1, config.horizon, rng),
-        _process_coefficients(config.eps_process, basis, d, config.horizon, rng),
+        config.u_process._coefficients(basis, 1, config.horizon, rng),
+        config.eps_process._coefficients(basis, d, config.horizon, rng),
     ])
     off_g = np.ones(n, dtype=bool)
     off_g[g_set - 1] = False

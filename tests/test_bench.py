@@ -183,7 +183,13 @@ class TestCsvOutput:
         with pytest.raises(ValueError):
             small_spec(n_grid=(16, 8))
 
-    @pytest.mark.parametrize("n_grid, named", [((0, 8), "n=0"), ((8, 12), "n=12")])
+    @pytest.mark.parametrize(
+        "n_grid, named",
+        [
+            pytest.param((0, 8), "n_grid entry must be >= 1", id="n_grid0-n=0"),
+            pytest.param((8, 12), "n=12", id="n_grid1-n=12"),
+        ],
+    )
     def test_grid_sizes_checked_against_the_basis(self, n_grid, named):
         with pytest.raises(ConfigurationError, match=named):
             small_spec(sim=SimConfig(n=8, basis_kind="haar"), n_grid=n_grid)

@@ -3,14 +3,17 @@
 The rules are the threshold ``a`` (``resolve_count``), the 1-based index sets
 of ``ols``, ``bfs``, ``eta_condition`` and a band support, the band support and
 coefficient std of a band-limited process, the OU parameters with the grid
-horizon, and the two sizes a sample count must hold: the covariates
-(``check_sample_count``) and a band support (``check_support_fits``).
+horizon, the two sizes a sample count must hold: the covariates
+(``check_sample_count``) and a band support (``check_support_fits``), and
+every size or count (``check_count``).
 Each table pairs an input with its verdict, and every entry point that takes
-the input must reach that verdict.
+the input must reach that verdict.  A config is rejected when it is
+constructed, not when it is first used.
 """
 
 import math
 import re
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -19,7 +22,6 @@ import pytest
 
 from deconfound import (
     BandLimitedProcess,
-    BasisKind,
     ConfigurationError,
     DecorConfig,
     ExperimentSpec,
@@ -32,14 +34,11 @@ from deconfound import (
     decor_fit,
     eta_condition,
     generate,
-    inverse_transform,
-    make_rng,
     ols,
     resolve_count,
-    sample_band_limited,
-    sample_ou,
     torrent,
 )
+from deconfound.cli import main, write_series_csv
 from deconfound.pipeline import check_sample_count
 from deconfound.sim import check_support_fits
 
@@ -206,27 +205,14 @@ REJECTED_BANDS = [
 class TestBandSupportRule:
     @pytest.mark.parametrize("support, coeff_std", ACCEPTED_BANDS, ids=repr)
     def test_accepted_everywhere(self, support, coeff_std):
-        BandLimitedProcess(support, coeff_std)
-        basis = build_basis(BasisKind.COSINE, 8)
-        assert np.isfinite(sample_band_limited(basis, support, coeff_std, make_rng(1))).all()
+        process = BandLimitedProcess(support, coeff_std)
+        x, y, _ = generate(SimConfig(n=8, conf_prob=1.0, eps_process=process, u_process=process))
+        assert np.isfinite(x).all() and np.isfinite(y).all()
 
     @pytest.mark.parametrize("support, coeff_std", REJECTED_BANDS, ids=repr)
     def test_rejected_everywhere(self, support, coeff_std):
         with pytest.raises(ConfigurationError):
             BandLimitedProcess(support, coeff_std)
-        basis = build_basis(BasisKind.COSINE, 8)
-        with pytest.raises(ConfigurationError):
-            sample_band_limited(basis, support, coeff_std, make_rng(1))
-
-    def test_same_draws_as_the_process(self):
-        # sample_band_limited is one column of generate's band-limited draws
-        basis = build_basis(BasisKind.COSINE, 8)
-        for support in [3, 1], None:
-            path = sample_band_limited(basis, support, 0.5, make_rng(2))
-            reference = np.zeros(8)
-            rows = np.arange(8) if support is None else np.array(support) - 1
-            reference[rows] = make_rng(2).normal(0.0, 0.5, rows.size)
-            np.testing.assert_array_equal(path, inverse_transform(reference[:, None], basis)[:, 0])
 
 
 # (horizon, sigma, drift)
@@ -255,27 +241,13 @@ def ou_config(horizon, sigma, drift):
 class TestOUParameterRule:
     @pytest.mark.parametrize("horizon, sigma, drift", ACCEPTED_OU, ids=repr)
     def test_accepted_everywhere(self, horizon, sigma, drift):
-        assert np.isfinite(sample_ou(8, horizon, sigma, drift, make_rng(1))).all()
         x, y, _ = generate(ou_config(horizon, sigma, drift))
         assert np.isfinite(x).all() and np.isfinite(y).all()
 
     @pytest.mark.parametrize("horizon, sigma, drift", REJECTED_OU, ids=repr)
     def test_rejected_everywhere(self, horizon, sigma, drift):
         with pytest.raises(ConfigurationError):
-            sample_ou(8, horizon, sigma, drift, make_rng(1))
-        with pytest.raises(ConfigurationError):
             ou_config(horizon, sigma, drift)
-
-    @pytest.mark.parametrize("horizon, sigma, drift", ACCEPTED_OU + REJECTED_OU, ids=repr)
-    def test_process_verdict_is_the_samplers(self, horizon, sigma, drift):
-        def accepts(call, *args):
-            try:
-                call(*args)
-            except ConfigurationError:
-                return False
-            return True
-
-        assert accepts(OUProcess, sigma, drift) == accepts(sample_ou, 8, 1.0, sigma, drift, make_rng(1))
 
 
 def one_cell(sim):
@@ -299,7 +271,6 @@ SIZE_RULES = {
         lambda n: check_support_fits(BAND_TO_8, n),
         [
             lambda n: generate(SimConfig(n=n, u_process=BAND_TO_8)),
-            lambda n: sample_band_limited(build_basis("cosine", n), (1, 8), 1.0, make_rng(1)),
             lambda n: one_cell(SimConfig(n=n, u_process=BAND_TO_8)),
         ],
     ),
@@ -322,3 +293,72 @@ class TestSizeRules:
         for call in calls:  # ExperimentSpec puts its location in front of the message
             with pytest.raises(ValueError, match=re.escape(str(info.value)) + "$"):
                 call(7)
+
+
+def count_spec(**fields):
+    """``one_cell`` at n = 8 with ``fields`` replaced, checked again as a new spec."""
+    return replace(one_cell(SimConfig(n=8)), **fields)
+
+
+COUNT_PROBLEM = RegressionProblem(np.arange(8.0), np.arange(8.0) ** 2)
+# each size or count: (its name in the message, its least value, the count as the entry point
+# keeps it, or for torrent the refits it ran)
+COUNTS = {
+    "build_basis n": ("n", 1, lambda v: build_basis("cosine", v).n),
+    "SimConfig.n": ("n", 1, lambda v: SimConfig(n=v).n),
+    "SimConfig.d": ("d", 1, lambda v: SimConfig(n=8, d=v).d),
+    "SimConfig.seed": ("seed", 0, lambda v: SimConfig(n=8, seed=v).seed),
+    "ExperimentSpec.n_grid": ("n_grid entry", 1, lambda v: count_spec(n_grid=(v,)).n_grid[0]),
+    "ExperimentSpec.replicates": ("replicates", 1, lambda v: count_spec(replicates=v).replicates),
+    "ExperimentSpec.seed_base": ("seed_base", 0, lambda v: count_spec(seed_base=v).seed_base),
+    "DecorConfig.max_iter": ("max_iter", 1, lambda v: DecorConfig(max_iter=v).max_iter),
+    "DecorConfig.bfs_cap": ("bfs_cap", 1, lambda v: DecorConfig(bfs_cap=v).bfs_cap),
+    "torrent max_iter": ("max_iter", 1, lambda v: torrent(COUNT_PROBLEM, 0.7, v).iterations),
+}
+# spellings of the count 8
+ACCEPTED_COUNTS = [8, np.int64(8), np.uint16(8), 8.0, np.float32(8.0), np.float64(8.0)]
+# never truncated, rounded or passed on to fail later
+REJECTED_COUNTS = [8.5, 1.5, np.float64(2.5), math.nan, math.inf, True, np.True_, "8", None]
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("value", ACCEPTED_COUNTS, ids=repr)
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_accepted_everywhere(self, entry, value):
+        _, _, call = COUNTS[entry]
+        kept = call(value)
+        assert type(kept) is int and kept == call(8)
+
+    @pytest.mark.parametrize("value", REJECTED_COUNTS, ids=repr)
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_rejected_everywhere(self, entry, value):
+        name, _, call = COUNTS[entry]
+        with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got "):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNTS)
+    def test_least_value(self, entry):
+        name, low, call = COUNTS[entry]
+        assert call(low) >= low
+        with pytest.raises(ConfigurationError, match=f"^{name} must be >= {low}$"):
+            call(low - 1)
+
+
+class TestRejectedAtConstruction:
+    @pytest.mark.parametrize("field", ["u_process", "eps_process"])
+    def test_process_must_be_a_process(self, field):
+        with pytest.raises(ConfigurationError, match="^unknown process kind: 'band'$"):
+            SimConfig(n=8, **{field: "band"})
+
+    def test_experiment_needs_a_method(self):
+        with pytest.raises(ValueError, match="^methods must be non-empty$"):
+            count_spec(methods=())
+
+    def test_deconfound_horizon_must_be_finite(self, tmp_path, capsys):
+        x, y, _ = generate(SimConfig(n=16, seed=1))
+        data, prefix = tmp_path / "data.csv", tmp_path / "report"
+        write_series_csv(data, np.arange(16.0), x, y)
+        args = ["deconfound", "--input", str(data), "--horizon", "inf", "--out", str(prefix)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --horizon must be positive, got inf\n"
+        assert not (tmp_path / "report_fitted.csv").exists()

@@ -1,10 +1,16 @@
-"""Process samplers and the confounded-instance generator."""
+"""Process draws and the confounded-instance generator.
+
+A single process path is drawn as the confounder of ``generate`` at
+``conf_prob=1.0``, where no basis coefficient is zeroed, and read from the
+truth's ``u_time``.
+"""
 
 import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +26,6 @@ from deconfound import (
     generate,
     inverse_transform,
     make_rng,
-    sample_band_limited,
-    sample_ou,
     sim,
     transform,
 )
@@ -33,7 +37,8 @@ def per_column_reference(config):
 
     The confounder is masked and synthesised on its own, and each covariate-noise
     column is sampled as a path (band-limited: drawn coefficients, synthesised
-    one column at a time); the draw order is the documented one.
+    one column at a time; OU: the exact AR(1) recursion, n normals per path);
+    the draw order is the documented one.
     """
     rng = make_rng(config.seed)
     basis = build_basis(config.basis_kind, config.n)
@@ -45,9 +50,19 @@ def per_column_reference(config):
         coeffs[support - 1] = rng.normal(0.0, process.coeff_std, support.size)
         return coeffs
 
+    def ou_path(process):
+        phi = math.exp(process.drift * config.horizon / n)
+        stat_sd = process.sigma / math.sqrt(-2.0 * process.drift)
+        z = rng.normal(0.0, 1.0, n)
+        v = np.empty(n)
+        v[0] = stat_sd * z[0]
+        for k in range(1, n):
+            v[k] = phi * v[k - 1] + stat_sd * math.sqrt(1.0 - phi * phi) * z[k]
+        return v
+
     def path(process):
         if isinstance(process, OUProcess):
-            return sample_ou(n, config.horizon, process.sigma, process.drift, rng)
+            return ou_path(process)
         return inverse_transform(band_coefficients(process), basis)
 
     g_size = confounded_set_size(config.conf_prob, n)
@@ -66,6 +81,12 @@ def per_column_reference(config):
     return x, y, g_set, u_time, eps
 
 
+def process_path(process, n, seed=0, rng=None):
+    """One path of ``process`` on n samples: ``generate``'s confounder with nothing zeroed."""
+    config = SimConfig(n=n, conf_prob=1.0, u_process=process, seed=seed)
+    return generate(config, rng=rng)[2].u_time
+
+
 class TestOu:
     def test_lag_one_autocorrelation(self):
         # exact discretization: corr(V_k, V_{k+1}) = exp(drift * dt); pool
@@ -73,7 +94,7 @@ class TestOu:
         rng = make_rng(0)
         first, second = [], []
         for _ in range(1000):
-            v = sample_ou(100, 1.0, 1.0, -50.0, rng)
+            v = process_path(OUProcess(1.0, -50.0), 100, rng=rng)
             first.append(v[:-1])
             second.append(v[1:])
         corr = np.corrcoef(np.concatenate(first), np.concatenate(second))[0, 1]
@@ -82,12 +103,13 @@ class TestOu:
     def test_stationary_variance(self):
         # Var = sigma^2 / (-2 drift) = 0.625 for (sigma, drift) = (1, -0.8)
         rng = make_rng(1)
-        samples = np.concatenate([sample_ou(100, 1.0, 1.0, -0.8, rng) for _ in range(1000)])
+        ou = OUProcess(1.0, -0.8)
+        samples = np.concatenate([process_path(ou, 100, rng=rng) for _ in range(1000)])
         assert samples.var() == pytest.approx(0.625, rel=0.05)
 
     def test_same_seed_same_path(self):
-        a = sample_ou(64, 1.0, 1.0, -0.5, make_rng(7))
-        b = sample_ou(64, 1.0, 1.0, -0.5, make_rng(7))
+        a = process_path(OUProcess(1.0, -0.5), 64, seed=7)
+        b = process_path(OUProcess(1.0, -0.5), 64, seed=7)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -102,7 +124,7 @@ class TestOu:
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
-            sample_ou(10, 1.0, 1.0, 0.5, make_rng(0))
+            process_path(OUProcess(1.0, 0.5), 10)
         with pytest.raises(ConfigurationError):
             OUProcess(sigma=-1.0, drift=-0.5)
         with pytest.raises(ConfigurationError):
@@ -112,7 +134,8 @@ class TestOu:
         code = (
             "import sys, deconfound, deconfound.bench, deconfound.cli\n"
             "before = 'scipy.signal' in sys.modules\n"
-            "deconfound.sample_ou(4, 1.0, 1.0, -0.8, deconfound.make_rng(0))\n"
+            "ou = deconfound.OUProcess()\n"
+            "deconfound.generate(deconfound.SimConfig(4, conf_prob=1.0, u_process=ou))\n"
             "print(before, 'scipy.signal' in sys.modules)"
         )
         src = Path(__file__).resolve().parent.parent / "src"
@@ -126,14 +149,14 @@ class TestOu:
 class TestBandLimited:
     def test_single_constant_component(self):
         basis = build_basis(BasisKind.COSINE, 16)
-        v = sample_band_limited(basis, [1], 1.0, make_rng(3))
+        v = process_path(BandLimitedProcess([1], 1.0), 16, seed=3)
         assert np.max(np.abs(v - v[0])) < 1e-12
         assert v[0] == pytest.approx(transform(v, basis)[0], abs=1e-12)
 
     def test_transform_support_is_contained(self):
         basis = build_basis(BasisKind.COSINE, 32)
         support = [2, 5, 11]
-        v = sample_band_limited(basis, support, 1.0, make_rng(4))
+        v = process_path(BandLimitedProcess(support, 1.0), 32, seed=4)
         coeffs = transform(v, basis)
         off = np.setdiff1d(np.arange(1, 33), support)
         assert np.max(np.abs(coeffs[off - 1])) < 1e-10
@@ -141,15 +164,15 @@ class TestBandLimited:
     def test_coefficient_variance(self):
         basis = build_basis(BasisKind.COSINE, 8)
         rng = make_rng(5)
+        band = BandLimitedProcess([3], 1.7)
         draws = np.array(
-            [transform(sample_band_limited(basis, [3], 1.7, rng), basis)[2] for _ in range(10_000)]
+            [transform(process_path(band, 8, rng=rng), basis)[2] for _ in range(10_000)]
         )
         assert draws.var() == pytest.approx(1.7**2, rel=0.05)
 
     def test_out_of_range_support_rejected(self):
-        basis = build_basis(BasisKind.COSINE, 8)
         with pytest.raises(ValueError, match="1..8"):
-            sample_band_limited(basis, [1, 9], 1.0, make_rng(0))
+            process_path(BandLimitedProcess([1, 9], 1.0), 8)
 
 
 class TestGenerate:
@@ -275,23 +298,13 @@ class TestGenerate:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.HAAR])
     @pytest.mark.parametrize("n", [8, 16, 1024])
-    def test_full_band_draws_match_the_support_path(self, monkeypatch, d, kind, n):
-        real = sim._process_coefficients
-
-        def support_path(process, basis, columns, horizon, rng):
-            # the full band drawn as the explicit support 1..n, as generate once did
-            if isinstance(process, BandLimitedProcess) and process.support is None:
-                support = np.asarray(list(range(1, basis.n + 1)), dtype=int)
-                coeffs = np.zeros((basis.n, columns))
-                coeffs[support - 1] = rng.normal(0.0, process.coeff_std, (columns, support.size)).T
-                return coeffs
-            return real(process, basis, columns, horizon, rng)
-
-        configs = [SimConfig(n=n, d=d, basis_kind=kind, seed=seed) for seed in range(20)]
-        drawn = [generate(cfg) for cfg in configs]
-        monkeypatch.setattr(sim, "_process_coefficients", support_path)
-        for cfg, (x, y, truth) in zip(configs, drawn):
-            ref_x, ref_y, ref_truth = generate(cfg)
+    def test_full_band_draws_match_the_support_path(self, d, kind, n):
+        # the full band draws what the explicit support 1..n draws, byte for byte
+        band = BandLimitedProcess(tuple(range(1, n + 1)))
+        for seed in range(20):
+            config = SimConfig(n=n, d=d, basis_kind=kind, seed=seed)
+            x, y, truth = generate(config)
+            ref_x, ref_y, ref_truth = generate(replace(config, eps_process=band, u_process=band))
             assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
             assert truth.u_time.tobytes() == ref_truth.u_time.tobytes()
 
