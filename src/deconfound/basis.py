@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigurationError, check_count
+from .errors import ConfigurationError, check_count, check_positive
 
 DENSE_MAX_N = 256  # largest n transformed by a matrix product; see the module docstring
 
@@ -221,8 +221,10 @@ def check_orthonormality(basis: BasisMatrix, tol: float = 1e-10) -> Orthonormali
     """Check ``(1/n) Phi.T Phi = I`` entrywise within ``tol``.
 
     Returns the pass/fail flag together with the worst entrywise deviation,
-    which is useful for diagnosing hand-built or corrupted matrices.
+    which is useful for diagnosing hand-built or corrupted matrices.  ``tol``
+    must be positive and finite (``ConfigurationError`` otherwise).
     """
+    check_positive("tol", tol)
     n, m = basis.n, basis.matrix
     gram = m.T @ m / n
     dev = float(np.max(np.abs(gram - np.eye(n))))

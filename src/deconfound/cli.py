@@ -34,9 +34,9 @@ from .basis import BasisKind, build_basis, check_orthonormality
 from .bench import (
     RECORD_CSV_HEADER, RESULT_CSV_HEADER, ExperimentSpec, run_experiment, write_csv, write_rows,
 )
-from .errors import ConfigurationError, FeasibilityError
+from .errors import ConfigurationError, FeasibilityError, check_positive
 from .pipeline import SCHEMA_VERSION, DecorConfig, Method, decor_fit
-from .sim import BandLimitedProcess, OUProcess, SimConfig, _check_positive, generate
+from .sim import BandLimitedProcess, OUProcess, SimConfig, generate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -186,7 +186,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_deconfound(args) -> int:
-    _check_positive("--horizon", args.horizon)
+    check_positive("--horizon", args.horizon)
     est, y = _fit_from_args(args)
     n = len(y)
     t = np.arange(1, n + 1) * (args.horizon / n)

@@ -1,5 +1,7 @@
-"""Exception types, and the one rule for a size or a count, shared across the package."""
+"""Exception types, and the one rule for a size or a count and the one for a scale or a
+tolerance, shared across the package."""
 
+import math
 import numbers
 
 
@@ -25,3 +27,9 @@ def check_count(name: str, value, low: int = 1) -> int:
     if value < low:
         raise ConfigurationError(f"{name} must be >= {low}")
     return int(value)
+
+
+def check_positive(name: str, value: float) -> None:
+    """The one rule for a scale or a tolerance: positive and finite, else ``ConfigurationError``."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigurationError(f"{name} must be positive, got {value}")

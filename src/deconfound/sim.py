@@ -28,14 +28,8 @@ from typing import Union
 import numpy as np
 
 from .basis import BasisKind, BasisMatrix, build_basis, inverse_transform, transform
-from .errors import ConfigurationError, check_count
+from .errors import ConfigurationError, check_count, check_positive
 from .robust import _as_indices
-
-
-def _check_positive(name: str, value: float) -> None:
-    """The one rule for a process or grid scale: positive and finite."""
-    if not (value > 0 and math.isfinite(value)):
-        raise ConfigurationError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +40,7 @@ class OUProcess:
     drift: float = -0.8
 
     def __post_init__(self):
-        _check_positive("OU sigma", self.sigma)
+        check_positive("OU sigma", self.sigma)
         if not (self.drift < 0 and math.isfinite(self.drift)):
             raise ConfigurationError(
                 f"OU drift must be negative (mean reversion), got {self.drift}"
@@ -90,7 +84,7 @@ class BandLimitedProcess:
     coeff_std: float = 1.0
 
     def __post_init__(self):
-        _check_positive("coefficient std", self.coeff_std)
+        check_positive("coefficient std", self.coeff_std)
         if self.support is not None:
             sup = tuple(_as_indices(self.support, "band support", ConfigurationError).tolist())
             if len(sup) == 0:
@@ -144,7 +138,7 @@ class SimConfig:
         for process in self.eps_process, self.u_process:
             if not isinstance(process, ProcessKind):
                 raise ConfigurationError(f"unknown process kind: {process!r}")
-        _check_positive("horizon", self.horizon)
+        check_positive("horizon", self.horizon)
         if not 0.0 <= self.conf_prob <= 1.0:
             raise ConfigurationError(
                 f"conf_prob must lie in [0, 1], got {self.conf_prob}"

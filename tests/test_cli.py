@@ -221,8 +221,8 @@ class TestCheckBasis:
         assert "pass" in capsys.readouterr().out
 
     def test_failed_check_exits_1(self, capsys):
-        # a zero tolerance fails on rounding alone: the deviation at n = 256 is about 1e-14
-        assert run_cli("check-basis", "--kind", "cosine", "--n", "256", "--tol", "0") == 1
+        # a tiny tolerance fails on rounding alone: the deviation at n = 256 is about 1e-14
+        assert run_cli("check-basis", "--kind", "cosine", "--n", "256", "--tol", "1e-300") == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_haar_bad_n_usage_error(self):

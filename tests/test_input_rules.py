@@ -4,8 +4,9 @@ The rules are the threshold ``a`` (``resolve_count``), the 1-based index sets
 of ``ols``, ``bfs``, ``eta_condition`` and a band support, the band support and
 coefficient std of a band-limited process, the OU parameters with the grid
 horizon, the two sizes a sample count must hold: the covariates
-(``check_sample_count``) and a band support (``check_support_fits``), and
-every size or count (``check_count``).
+(``check_sample_count``) and a band support (``check_support_fits``),
+every size or count (``check_count``), and the tolerance of an
+orthonormality check (``check_positive``).
 Each table pairs an input with its verdict, and every entry point that takes
 the input must reach that verdict.  A config is rejected when it is
 constructed, not when it is first used.
@@ -31,9 +32,12 @@ from deconfound import (
     SimConfig,
     bfs,
     build_basis,
+    candidate_sets_all_of_size,
+    check_orthonormality,
     decor_fit,
     eta_condition,
     generate,
+    hard_threshold,
     ols,
     resolve_count,
     torrent,
@@ -302,7 +306,7 @@ def count_spec(**fields):
 
 COUNT_PROBLEM = RegressionProblem(np.arange(8.0), np.arange(8.0) ** 2)
 # each size or count: (its name in the message, its least value, the count as the entry point
-# keeps it, or for torrent the refits it ran)
+# keeps it, or for torrent the refits it ran, for a cap the entries of the one set it lets through)
 COUNTS = {
     "build_basis n": ("n", 1, lambda v: build_basis("cosine", v).n),
     "SimConfig.n": ("n", 1, lambda v: SimConfig(n=v).n),
@@ -314,6 +318,14 @@ COUNTS = {
     "DecorConfig.max_iter": ("max_iter", 1, lambda v: DecorConfig(max_iter=v).max_iter),
     "DecorConfig.bfs_cap": ("bfs_cap", 1, lambda v: DecorConfig(bfs_cap=v).bfs_cap),
     "torrent max_iter": ("max_iter", 1, lambda v: torrent(COUNT_PROBLEM, 0.7, v).iterations),
+    "hard_threshold a": ("a", 1, lambda v: len(hard_threshold(np.arange(9.0), v))),
+    "candidate_sets_all_of_size n": ("n", 1, lambda v: len(candidate_sets_all_of_size(v, 1))),
+    "candidate_sets_all_of_size size": (
+        "size", 1, lambda v: candidate_sets_all_of_size(8, v).shape[1]
+    ),
+    "candidate_sets_all_of_size cap": (
+        "cap", 1, lambda v: candidate_sets_all_of_size(8, 8, cap=v).size
+    ),
 }
 # spellings of the count 8
 ACCEPTED_COUNTS = [8, np.int64(8), np.uint16(8), 8.0, np.float32(8.0), np.float64(8.0)]
@@ -342,6 +354,25 @@ class TestCountRule:
         assert call(low) >= low
         with pytest.raises(ConfigurationError, match=f"^{name} must be >= {low}$"):
             call(low - 1)
+
+
+ACCEPTED_TOLERANCES = [1e-10, 1e-300, 0.5, np.float32(1e-3)]
+REJECTED_TOLERANCES = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+class TestToleranceRule:
+    @pytest.mark.parametrize("tol", ACCEPTED_TOLERANCES, ids=repr)
+    def test_accepted_everywhere(self, tol):
+        check_orthonormality(build_basis("cosine", 8), tol)
+        assert main(["check-basis", "--kind", "cosine", "--n", "8", f"--tol={tol}"]) in (0, 1)
+
+    @pytest.mark.parametrize("tol", REJECTED_TOLERANCES, ids=repr)
+    def test_rejected_everywhere(self, tol, capsys):
+        message = f"tol must be positive, got {tol}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            check_orthonormality(build_basis("cosine", 8), tol)
+        assert main(["check-basis", "--kind", "cosine", "--n", "8", f"--tol={tol}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestRejectedAtConstruction:

@@ -48,6 +48,18 @@ def listed_bfs_oracle(x, y, sets):
     return np.sort(np.asarray(sets[best])), betas[best]
 
 
+def residual_kernel_winner(p, sets):
+    """The winner of scoring every set in the residual form, as bfs did before its screen."""
+    return np.sort(sets[first_within_tie_tolerance(robust._subset_errors(p.x, p.y, sets), p.y)])
+
+
+def screen_bounds(p, sets):
+    """``robust._screen``'s (lower, upper) bounds, with the moments built here from x and y."""
+    x, y, n, d = p.x, p.y, p.n, p.d
+    outer = np.einsum("ki,kj->kij", x, x).reshape(n, d * d)
+    return robust._screen(np.column_stack([outer, x * y[:, None], y * y]), sets, d)
+
+
 def exhaustive_bfs_oracle(x, y, size):
     """Independent exhaustive loop, returning (best_set, best_beta)."""
     return listed_bfs_oracle(x, y, list(combinations(range(1, len(y) + 1), size)))
@@ -442,12 +454,12 @@ class TestBfsKernel:
         y[[1, 6]] += 9.0
         return RegressionProblem(x, y)
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_first_exact_fit_wins(self, d):
         fit = bfs(self._exact_fit_instance(d), candidate_sets_all_of_size(10, 6))
         assert list(fit.inliers) == [1, 3, 4, 5, 6, 8]
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_chunking_does_not_change_the_fit(self, d, monkeypatch):
         p = self._exact_fit_instance(d)
         sets = candidate_sets_all_of_size(10, 6)
@@ -459,6 +471,46 @@ class TestBfsKernel:
         assert list(chunked.inliers) == list(whole.inliers) == [1, 3, 4, 5, 6, 8]
         assert np.array_equal(chunked.beta, whole.beta)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_first_set_wins_when_every_set_fits_exactly(self, d):
+        # no outliers: all C(10, 6) sets tie, and the sums' rounding can exceed the tie
+        # tolerance (at d = 3 on about 1% of these designs), so only a rescored tie is safe
+        sets = candidate_sets_all_of_size(10, 6)
+        for seed in range(200):
+            rng = np.random.default_rng(700 + seed)
+            x = rng.normal(size=(10, d))
+            beta = rng.normal(size=d)
+            fit = bfs(RegressionProblem(x, x @ beta), sets)
+            assert list(fit.inliers) == [1, 2, 3, 4, 5, 6], seed
+            assert np.max(np.abs(fit.beta - beta)) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_screen_bounds_the_residual_score(self, d):
+        rng = np.random.default_rng(740 + d)
+        for trial in range(40):
+            n, s = (10, 6) if trial % 2 else (14, 10)
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+            if d > 1 and trial % 4 < 2:  # nearly collinear columns
+                x[:, -1] = x[:, 0] + 10.0 ** -rng.integers(3, 7) * rng.normal(size=n)
+            y = x @ rng.normal(size=d) + (trial % 3) * 0.1 * rng.normal(size=n)
+            p = RegressionProblem(x, y)
+            sets = candidate_sets_all_of_size(n, s)
+            lo, hi = screen_bounds(p, sets)
+            err = robust._subset_errors(p.x, p.y, sets)
+            assert np.all((lo <= err) & (err <= hi)), trial
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_winner_matches_the_residual_kernel_on_planted_instances(self, d):
+        for seed in range(40):
+            rng = np.random.default_rng(760 + 10 * d + seed)
+            p, _, _ = planted_instance(rng, n=12, d=d, n_out=int(rng.integers(0, 4)))
+            if d > 1 and seed % 2:  # nearly collinear columns
+                x = p.x.copy()
+                x[:, -1] = x[:, 0] + 1e-6 * rng.normal(size=12)
+                p = RegressionProblem(x, x @ rng.normal(size=d))
+            sets = candidate_sets_all_of_size(12, 9)
+            assert list(bfs(p, sets).inliers) == list(residual_kernel_winner(p, sets)), seed
+
     def test_ragged_candidates(self):
         rng = np.random.default_rng(710)
         p, _, _ = planted_instance(rng, n=9, d=2, n_out=2, magnitude=6.0)
@@ -469,6 +521,28 @@ class TestBfsKernel:
         oracle_set, oracle_beta = listed_bfs_oracle(p.x, p.y, sets)
         assert list(fit.inliers) == list(oracle_set)
         assert np.max(np.abs(fit.beta - oracle_beta)) < 1e-10
+
+    def test_ragged_shortlist_mixes_set_sizes(self, monkeypatch):
+        # noiseless with one outlier: the exact fits of every size are near-tied,
+        # rescored one size at a time, and the first of them in iteration order wins
+        rng = np.random.default_rng(715)
+        x = rng.normal(size=(9, 2))
+        y = x @ np.array([1.0, -2.0])
+        y[3] += 7.0
+        sets = [c for size in (5, 7, 6) for c in combinations(range(1, 10), size)][::-1]
+        rescored = []
+        subset_errors = robust._subset_errors
+
+        def recording(x, y, sets):
+            rescored.append(sets.shape)
+            return subset_errors(x, y, sets)
+
+        monkeypatch.setattr(robust, "_subset_errors", recording)
+        fit = bfs(RegressionProblem(x, y), sets)
+        assert {s for _, s in rescored} == {5, 6, 7}
+        oracle_set, _ = listed_bfs_oracle(x, y, sets)
+        first_exact = next(s for s in sets if 4 not in s)
+        assert list(fit.inliers) == list(oracle_set) == sorted(first_exact)
 
     def test_zero_column_gives_minimum_norm_fit(self):
         rng = np.random.default_rng(720)
@@ -487,6 +561,12 @@ class TestBfsKernel:
         assert list(fit.inliers) == list(oracle_set) == [1, 2, 3, 4]
         assert np.max(np.abs(fit.beta - oracle_beta)) < 1e-10
         assert np.max(np.abs(fit.beta - [2.0, 0.0])) < 1e-12
+        # a rank-deficient set has infinite screen bounds: it is rescored, not picked on them
+        y[:5] = rng.normal(size=5)
+        y[5:] = x[5:] @ [1.0, 3.0]
+        sets = candidate_sets_all_of_size(8, 3)
+        fit = bfs(RegressionProblem(x, y), sets)
+        assert list(fit.inliers) == list(listed_bfs_oracle(x, y, sets)[0]) == [6, 7, 8]
 
     def test_validation_errors(self):
         p = RegressionProblem(np.ones((3, 1)), np.ones(3))
