@@ -210,11 +210,12 @@ def torrent(
     longer strictly decreases; ``converged`` is False only if ``max_iter``
     refits were exhausted first.
 
-    Each refit solves the normal equations (beta = Sxy / Sxx for one column,
-    else by ``eigh`` of the Gram matrix), or calls ``lstsq`` for the minimum-norm
-    fit when that matrix is numerically singular.  This rounds unlike ``lstsq``:
-    with noise the kept rows match and beta agrees to about 1e-12 relative, but
-    an exact fit's inlier residuals are rounding noise, so its kept rows may not.
+    Each refit solves the normal equations (beta = Sxy / Sxx for one column, the
+    closed form of the 2 x 2 Gram matrix for two, ``eigh`` of the Gram matrix for
+    more), or calls ``lstsq`` for the minimum-norm fit when that matrix is
+    numerically singular.  This rounds unlike ``lstsq``: with noise the kept rows
+    match and beta agrees to about 1e-12 relative, but an exact fit's inlier
+    residuals are rounding noise, so its kept rows may not.
 
     Parameters
     ----------
@@ -253,13 +254,18 @@ def torrent(
 
 
 def _normal_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares by the normal equations, or ``_lstsq`` when ``_singular`` flags them."""
+    """Least squares by the normal equations, or ``_lstsq`` when ``_singular`` flags them.
+
+    Solved by one division for d = 1, by ``_gram2``'s closed form for d = 2, else by ``eigh``."""
     s, d = x.shape
     gram = x.T @ x
     if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
         return _lstsq(x, y) if _singular(gram, s, d)[0] else (x.T @ y) / gram[0]
+    if d == 2:
+        _, singular, coef = _gram2(gram.ravel().tolist(), (x.T @ y).tolist(), s)
+        return _lstsq(x, y) if singular else np.array(coef)
     lam, vec = np.linalg.eigh(gram)
-    if _singular(lam[None], s, d)[0]:
+    if _singular(lam, s, d):
         return _lstsq(x, y)
     return vec @ ((vec.T @ (x.T @ y)) / lam)
 
@@ -308,7 +314,25 @@ def _singular(lam: np.ndarray, s: int, d: int) -> np.ndarray:
 
     This flags a superset of the sets ``_lstsq`` calls rank deficient.
     """
-    return lam[:, -1] * max(s, d) * _EPS >= lam[:, 0]
+    return lam[..., -1] * max(s, d) * _EPS >= lam[..., 0]
+
+
+def _gram2(gram, b, s: int):
+    """Eigenvalues, ``_singular`` flag and G^-1 b of a symmetric 2 x 2 G, in closed form.
+
+    ``gram`` is G row by row and ``b`` the right-hand side, floats for one refit or arrays
+    with one entry per set; ``lam`` ascends on its last axis, as from ``eigh``.  G and b are
+    first divided by lam_max, so no product leaves float range at any design scale, and a
+    singular G gets a finite but meaningless G^-1 b."""
+    (g11, g12, _, g22), (b1, b2) = gram, b
+    lam_max = (g11 + g22) / 2 + np.hypot((g11 - g22) / 2, g12)
+    scale = lam_max + (lam_max == 0)  # an all-zero G stays zero, and singular
+    a11, a12, a22, c1, c2 = g11 / scale, g12 / scale, g22 / scale, b1 / scale, b2 / scale
+    ratio = a11 * a22 - a12 * a12
+    lam = np.array([ratio * lam_max, lam_max]).T
+    singular = _singular(lam, s, 2)
+    det = ratio + singular
+    return lam, singular, ((a22 * c1 - a12 * c2) / det, (a11 * c2 - a12 * c1) / det)
 
 
 def _screen(moments: np.ndarray, sets: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +341,9 @@ def _screen(moments: np.ndarray, sets: np.ndarray, d: int) -> tuple[np.ndarray, 
     ``moments`` holds each row's x x^T, x y and y^2, one row per data row.  The product
     of a chunk's 0/1 row mask with it gives every set S its Gram matrix G, b = X_S^T y_S
     and ||y_S||^2 as direct sums, not downdates, so ``_singular`` keeps its per-set
-    scale.  The score is ``(||y_S||^2 - b^T G^-1 b) / s``.  That form cancels: over
-    d = 1-3, ill-conditioned designs included, it was measured within about
+    scale.  The score is ``(||y_S||^2 - b^T G^-1 b) / s``: one division for d = 1,
+    ``_gram2``'s closed form for d = 2, ``eigh`` beyond.  That form cancels: over d = 1-3,
+    ill-conditioned designs included, it was measured within about
     7 * eps * cond(G) * ||y_S||^2 / s of the residual form, and the slack is 16 times
     that scale.  A set that ``_singular`` flags gets bounds of -inf and inf.
     """
@@ -332,14 +357,19 @@ def _screen(moments: np.ndarray, sets: np.ndarray, d: int) -> tuple[np.ndarray, 
         mask.reshape(-1)[chunk + np.arange(-1, len(chunk) * n - 1, n)[:, None]] = 1.0
         sums = moments.T @ mask.T  # one row per moment, one column per set
         yy = sums[-1]
-        if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
-            lam, proj = sums[:1].T, sums[1:2].T
-        else:
-            lam, vec = np.linalg.eigh(sums[: d * d].T.reshape(-1, d, d))
-            proj = np.einsum("cji,jc->ci", vec, sums[d * d : -1])
-        singular = _singular(lam, s, d)
-        lam[singular] = 1.0
-        score = (yy - np.einsum("ci,ci->c", proj, proj / lam)) / s
+        if d == 2:
+            lam, singular, coef = _gram2(sums[:4], sums[4:6], s)
+            score = (yy - sums[4] * coef[0] - sums[5] * coef[1]) / s
+            lam[singular] = 1.0
+        else:  # b^T G^-1 b = sum of (v_i^T b)^2 / lam_i over the eigenpairs
+            if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
+                lam, proj = sums[:1].T, sums[1:2].T
+            else:
+                lam, vec = np.linalg.eigh(sums[: d * d].T.reshape(-1, d, d))
+                proj = np.einsum("cji,jc->ci", vec, sums[d * d : -1])
+            singular = _singular(lam, s, d)
+            lam[singular] = 1.0
+            score = (yy - np.einsum("ci,ci->c", proj, proj / lam)) / s
         slack = (16 * _EPS / s) * yy * (lam[:, -1] / lam[:, 0])
         slack[singular] = np.inf
         lo.append(score - slack)

@@ -88,6 +88,21 @@ def lstsq_argsort_torrent(p, a, max_iter=100):
     return beta, active, max_iter, False
 
 
+def eigh_normal_fit(x, y):
+    """Torrent's refit by ``eigh`` of the Gram matrix, at every d, with its ``lstsq`` fallback."""
+    s, d = x.shape
+    lam, vec = np.linalg.eigh(x.T @ x)
+    if robust._singular(lam, s, d):
+        return np.linalg.lstsq(x, y, rcond=None)[0]
+    return vec @ ((vec.T @ (x.T @ y)) / lam)
+
+
+def degenerate_designs(n):
+    """All-zero designs with one and two columns, and a two-column one with a zero column."""
+    one_zero = np.column_stack([np.linspace(1.0, 2.0, n), np.zeros(n)])
+    return [np.zeros((n, 1)), np.zeros((n, 2)), one_zero]
+
+
 def planted_instance(rng, n=20, d=1, n_out=5, magnitude=10.0):
     x = rng.normal(size=(n, d))
     beta = rng.normal(size=d)
@@ -356,14 +371,88 @@ class TestTorrentKernel:
         assert fit.beta[0] == pytest.approx(fit.beta[1], abs=1e-12)  # minimum norm
 
     def test_zero_covariate_gives_zero_beta(self):
-        p = RegressionProblem(np.zeros((12, 1)), np.arange(12.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fit = torrent(p, 0.75)
-        beta, inliers, iterations, converged = lstsq_argsort_torrent(p, 0.75)
-        assert fit.beta.tolist() == beta.tolist() == [0.0]
-        assert np.array_equal(fit.inliers, inliers) and fit.iterations == iterations
-        assert list(fit.inliers) == list(range(1, 10))
+        for x in degenerate_designs(12):
+            p = RegressionProblem(x, np.arange(12.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = torrent(p, 0.75)
+            beta, inliers, iterations, converged = lstsq_argsort_torrent(p, 0.75)
+            assert np.array_equal(fit.inliers, inliers) and fit.iterations == iterations
+            assert np.max(np.abs(fit.beta - beta)) <= 1e-12
+            if not x.any():
+                assert fit.beta.tolist() == beta.tolist() == [0.0] * x.shape[1]
+                assert list(fit.inliers) == list(range(1, 10))
+            else:  # the minimum-norm fit leaves the zero column's coefficient at zero
+                assert fit.beta[1] == 0.0
+
+
+class TestGram2:
+    """The closed-form 2 x 2 solve against eigh, and Torrent's d = 2 refit against eigh's."""
+
+    @staticmethod
+    def _designs(rng, s, count):
+        """Random, badly scaled and nearly collinear (s, 2) designs, exact rank one included."""
+        for k in range(count):
+            x = rng.normal(size=(s, 2)) * 10.0 ** rng.integers(-100, 101)
+            if k % 3 == 1:  # columns of very different size
+                x[:, 1] *= 10.0 ** rng.integers(-9, 10)
+            elif k % 3 == 2:  # nearly collinear columns, down to exactly collinear
+                x[:, 1] = x[:, 0] * rng.normal() + 10.0 ** -rng.integers(3, 21) * x[:, 1]
+            yield x
+
+    def test_eigenvalues_match_eigh(self):
+        rng = np.random.default_rng(1100)
+        xs = np.array(list(self._designs(rng, 12, 600)))
+        gram = np.swapaxes(xs, 1, 2) @ xs
+        b = np.einsum("csi,cs->ci", xs, rng.normal(size=(600, 12)))
+        lam, singular, coef = robust._gram2(gram.reshape(-1, 4).T, b.T, 12)
+        ref = np.linalg.eigvalsh(gram)
+        assert np.all(np.abs(lam - ref) <= 4 * np.finfo(float).eps * ref[:, -1:])
+        assert np.array_equal(singular, robust._singular(lam, 12, 2))
+        # the superset contract: every rank-deficient design is flagged
+        deficient = np.array([np.linalg.matrix_rank(x) < 2 for x in xs])
+        assert deficient.sum() > 20 and np.all(singular[deficient])
+        # G^-1 b agrees with solve where G is well conditioned
+        well = ref[:, 0] > 1e-4 * ref[:, 1]
+        solved = np.linalg.solve(gram[well], b[well][..., None])[..., 0]
+        assert np.allclose(np.transpose(coef)[well], solved, rtol=1e-10, atol=0)
+        # floats in, the same numbers out
+        for k in rng.choice(600, size=50, replace=False):
+            one = robust._gram2(gram[k].ravel().tolist(), b[k].tolist(), 12)
+            assert np.array_equal(one[0], lam[k]) and one[1] == singular[k]
+            assert [float(c) for c in one[2]] == [coef[0][k], coef[1][k]]
+
+    def test_torrent_keeps_the_rows_of_the_eigh_refit(self, monkeypatch):
+        rng = np.random.default_rng(1200)
+        cases = [TestTorrentKernel._noisy_instance(rng, 2) for _ in range(300)]
+        fits = [torrent(p, a) for p, a in cases]
+        monkeypatch.setattr(robust, "_normal_fit", eigh_normal_fit)
+        for (p, a), fit in zip(cases, fits):
+            ref = torrent(p, a)
+            assert np.array_equal(fit.inliers, ref.inliers)
+            assert (fit.iterations, fit.converged) == (ref.iterations, ref.converged)
+            assert np.max(np.abs(fit.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
+
+
+class TestDesignScale:
+    """Torrent and BFS on (c x, c y) give the fit they give on (x, y)."""
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-100, 1e60, 1e100, 1e150])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scaled_design_gives_the_same_fit(self, d, c):
+        sets = candidate_sets_all_of_size(12, 9)
+        for seed in range(4):
+            rng = np.random.default_rng(1300 + 10 * d + seed)
+            p, _, _ = planted_instance(rng, n=12, d=d, n_out=3, magnitude=6.0)
+            y = p.y + 0.2 * rng.normal(size=12)
+            base, scaled = RegressionProblem(p.x, y), RegressionProblem(c * p.x, c * y)
+            for method in (lambda q: torrent(q, 9), lambda q: bfs(q, sets)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    want, got = method(base), method(scaled)
+                assert np.array_equal(got.inliers, want.inliers), seed
+                assert got.iterations == want.iterations, seed
+                assert np.allclose(got.beta, want.beta, rtol=1e-9, atol=0), seed
 
 
 class TestBfs:
@@ -567,6 +656,21 @@ class TestBfsKernel:
         sets = candidate_sets_all_of_size(8, 3)
         fit = bfs(RegressionProblem(x, y), sets)
         assert list(fit.inliers) == list(listed_bfs_oracle(x, y, sets)[0]) == [6, 7, 8]
+
+    def test_zero_covariate_gives_zero_beta(self):
+        sets = candidate_sets_all_of_size(8, 5)
+        for x in degenerate_designs(8):
+            y = np.arange(8.0) ** 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fit = bfs(RegressionProblem(x, y), sets)
+            oracle_set, oracle_beta = listed_bfs_oracle(x, y, sets)
+            assert list(fit.inliers) == list(oracle_set)
+            assert np.max(np.abs(fit.beta - oracle_beta)) <= 1e-12
+            if not x.any():
+                assert fit.beta.tolist() == [0.0] * x.shape[1]
+            else:  # the minimum-norm fit leaves the zero column's coefficient at zero
+                assert fit.beta[1] == 0.0
 
     def test_validation_errors(self):
         p = RegressionProblem(np.ones((3, 1)), np.ones(3))
