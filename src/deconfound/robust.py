@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from itertools import chain, combinations, islice
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,7 +89,10 @@ class RobustFit:
 def _as_indices(values, what: str, error=ValueError) -> np.ndarray:
     """``values`` as an ``intp`` array, the cast of the one index-set rule: an integer
     array passes on its dtype alone, whole-number floats convert, anything else raises."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy builds no array from sequences of unequal lengths
+        raise error(f"{what} indices must form a rectangular array, got a ragged one") from None
     if arr.dtype.kind in "iu":
         return arr.astype(np.intp, copy=False)
     if arr.dtype.kind != "f":
@@ -100,27 +103,32 @@ def _as_indices(values, what: str, error=ValueError) -> np.ndarray:
     return arr.astype(np.intp)
 
 
-def _check_index_sets(sets: np.ndarray, n: int, what: str) -> None:
-    """The one index-set rule: each row of the (C, s) array ``sets`` is non-empty,
-    lies in 1..n and repeats no index; ``what`` names a set in the message.
+def _index_sets(values, what: str, ndim: int = 1, n: int | None = None, error=ValueError):
+    """``values`` as an ``intp`` array under the one index-set rule.
 
-    Rows in increasing order, as ``candidate_sets_all_of_size`` gives them,
-    pass the repeat test in one comparison over the flat array; only
-    otherwise are rows sorted.
+    ``values`` is one set (``ndim`` 1: a subset, an inlier set, a band support) or a
+    (C, s) array of sets (``ndim`` 2: candidate sets).  Each set is non-empty, lies in
+    1..n (only ``>= 1`` when ``n`` is None: a band support meets its n later) and
+    repeats no index; ``what`` names a set in the message of the ``error`` raised.
+    Rows in increasing order, as ``candidate_sets_all_of_size`` gives them, pass the
+    repeat test in one comparison over the flat array; only otherwise are rows sorted.
     """
-    s = sets.shape[1]
+    sets = _as_indices(values, what, error)
+    if sets.ndim != ndim:
+        raise error(f"{what} indices must form a {ndim}-d array, got shape {sets.shape}")
+    s = sets.shape[-1]
     if s == 0:
-        raise ValueError(f"{what}s must be non-empty")
-    if sets.min() < 1 or sets.max() > n:
-        raise ValueError(f"{what} indices must lie in 1..{n}")
+        raise error(f"{what}s must be non-empty")
+    if sets.min(initial=1) < 1 or n is not None and sets.max(initial=1) > n:
+        raise error(f"{what} indices must lie in 1..{n or 'n'}")
     flat = sets.ravel()
     rising = flat[1:] > flat[:-1]
     rising[s - 1 :: s] = True  # the last entry of a row against the first of the next
-    if rising.all():
-        return
-    ordered = np.sort(sets, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
-        raise ValueError(f"{what}s must not repeat an index (indices must be distinct)")
+    if not rising.all():
+        ordered = np.sort(sets, axis=-1)
+        if (ordered[..., 1:] == ordered[..., :-1]).any():
+            raise error(f"{what}s must not repeat an index (indices must be distinct)")
+    return sets
 
 
 def _fit_result(problem, beta, inliers, method, iterations=0, converged=True):
@@ -146,8 +154,7 @@ def ols(problem: RegressionProblem, subset: Sequence[int] | None = None) -> np.n
     """
     if subset is None:
         return _lstsq(problem.x, problem.y)
-    rows = _as_indices(subset, "subset").ravel()
-    _check_index_sets(rows[None, :], problem.n, "subset")
+    rows = _index_sets(subset, "subset", n=problem.n)
     return _lstsq(problem.x[rows - 1], problem.y[rows - 1])
 
 
@@ -335,27 +342,40 @@ def _gram2(gram, b, s: int):
     return lam, singular, ((a22 * c1 - a12 * c2) / det, (a11 * c2 - a12 * c1) / det)
 
 
+def _moments(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each data row's x x^T (flattened), x y and y^2; a ``_row_mask`` product sums them
+    over a set's rows into the set's Gram matrix (``_screen``, ``eta_condition``)."""
+    n, d = x.shape
+    outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+    return np.column_stack([outer, x * y[:, None], y * y])
+
+
+def _row_mask(sets: np.ndarray, n: int) -> np.ndarray:
+    """The (C, n) 0/1 mask of the (C, s) array of 1-based ``sets``: one row per set."""
+    mask = np.zeros((len(sets), n))
+    # set k's 1-based row r is flat entry k * n + r - 1
+    mask.reshape(-1)[sets + np.arange(-1, len(sets) * n - 1, n)[:, None]] = 1.0
+    return mask
+
+
 def _screen(moments: np.ndarray, sets: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``(score - slack, score + slack)`` on each set's ``_subset_errors`` score.
 
-    ``moments`` holds each row's x x^T, x y and y^2, one row per data row.  The product
-    of a chunk's 0/1 row mask with it gives every set S its Gram matrix G, b = X_S^T y_S
-    and ||y_S||^2 as direct sums, not downdates, so ``_singular`` keeps its per-set
-    scale.  The score is ``(||y_S||^2 - b^T G^-1 b) / s``: one division for d = 1,
-    ``_gram2``'s closed form for d = 2, ``eigh`` beyond.  That form cancels: over d = 1-3,
-    ill-conditioned designs included, it was measured within about
-    7 * eps * cond(G) * ||y_S||^2 / s of the residual form, and the slack is 16 times
-    that scale.  A set that ``_singular`` flags gets bounds of -inf and inf.
+    ``moments`` is ``_moments(x, y)`` and ``sets`` the one (C, s) array of 1-based sets
+    that ``bfs`` takes.  The product of a chunk's ``_row_mask`` with the moments gives
+    every set S its Gram matrix G, b = X_S^T y_S and ||y_S||^2 as direct sums, not
+    downdates, so ``_singular`` keeps its per-set scale.  The score is
+    ``(||y_S||^2 - b^T G^-1 b) / s``: one division for d = 1, ``_gram2``'s closed form
+    for d = 2, ``eigh`` beyond.  That form cancels: over d = 1-3, ill-conditioned
+    designs included, it was measured within about 7 * eps * cond(G) * ||y_S||^2 / s
+    of the residual form, and the slack is 16 times that scale.  A set that
+    ``_singular`` flags gets bounds of -inf and inf.
     """
     n, s = moments.shape[0], sets.shape[1]
     step = max(1, _CHUNK_SETS * s // n)  # a mask chunk holds no more entries than a gathered one
     lo, hi = [], []
     for start in range(0, len(sets), step):
-        chunk = sets[start : start + step]
-        mask = np.zeros((len(chunk), n))
-        # set k's 1-based row r is flat entry k * n + r - 1
-        mask.reshape(-1)[chunk + np.arange(-1, len(chunk) * n - 1, n)[:, None]] = 1.0
-        sums = moments.T @ mask.T  # one row per moment, one column per set
+        sums = moments.T @ _row_mask(sets[start : start + step], n).T  # a column per set
         yy = sums[-1]
         if d == 2:
             lam, singular, coef = _gram2(sums[:4], sums[4:6], s)
@@ -381,35 +401,29 @@ def _subset_errors(x: np.ndarray, y: np.ndarray, sets: np.ndarray) -> np.ndarray
     """Mean squared residual of the least-squares fit on each row set of ``sets``.
 
     The residual form, which ``bfs``'s tie rule is defined on: ``bfs`` calls it only
-    for the near-tied sets that ``_screen`` cannot tell apart.  ``sets`` is a (C, s)
-    array of 1-based rows, fitted ``_CHUNK_SETS`` at a time; each chunk is shifted to
-    0-based on its own, so no copy of the whole array is made.
+    for the near-tied sets that ``_screen`` cannot tell apart, a chunk at a time.
+    ``sets`` is a (C, s) array of 1-based rows, all gathered and fitted in one batch.
     """
     s, d = sets.shape[1], x.shape[1]
-    errs = []
-    for start in range(0, len(sets), _CHUNK_SETS):
-        rows = sets[start : start + _CHUNK_SETS] - 1
-        xs, ys = x[rows], y[rows]
-        lam, vec = np.linalg.eigh(np.swapaxes(xs, 1, 2) @ xs)
-        singular = _singular(lam, s, d)
-        lam[singular] = 1.0  # refitted by _lstsq below
-        proj = np.einsum("cji,cj->ci", vec, np.einsum("csi,cs->ci", xs, ys)) / lam
-        coef = np.einsum("cij,cj->ci", vec, proj)
-        for k in np.flatnonzero(singular):
-            coef[k] = _lstsq(xs[k], ys[k])
-        resid = ys - np.einsum("csi,ci->cs", xs, coef)
-        errs.append(np.einsum("cs,cs->c", resid, resid) / s)
-    return np.concatenate(errs)
+    rows = sets - 1
+    xs, ys = x[rows], y[rows]
+    lam, vec = np.linalg.eigh(np.swapaxes(xs, 1, 2) @ xs)
+    singular = _singular(lam, s, d)
+    lam[singular] = 1.0  # refitted by _lstsq below
+    proj = np.einsum("cji,cj->ci", vec, np.einsum("csi,cs->ci", xs, ys)) / lam
+    coef = np.einsum("cij,cj->ci", vec, proj)
+    for k in np.flatnonzero(singular):
+        coef[k] = _lstsq(xs[k], ys[k])
+    resid = ys - np.einsum("csi,ci->cs", xs, coef)
+    return np.einsum("cs,cs->c", resid, resid) / s
 
 
-def bfs(
-    problem: RegressionProblem,
-    candidate_sets: Iterable[Sequence[int]],
-) -> RobustFit:
+def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> RobustFit:
     """Exhaustive search: fit each candidate inlier set, keep the best.
 
     ``candidate_sets`` is a (C, s) array of 1-based rows, as
-    ``candidate_sets_all_of_size`` returns, or any iterable of row sequences.
+    ``candidate_sets_all_of_size`` returns, or a list of C sets of one size s that
+    numpy reads as one; any other shape raises ``ValueError``.
     Each set S scores ``err(S) = |S|^-1 ||y_S - X_S beta_S||^2`` for its own
     least-squares fit.  Errors within ``16 * eps * ||y||^2 / n`` of the smallest
     tie, and the first tied set in iteration order wins, so rounding cannot pick
@@ -422,34 +436,18 @@ def bfs(
     rescored in the residual form (``_subset_errors``) and the tie rule picks
     among them, so the winner is the one scoring every set that way would give.
     """
-    if isinstance(candidate_sets, np.ndarray) and candidate_sets.ndim == 2:
-        listed = _as_indices(candidate_sets, "candidate set")
-        groups = [(np.arange(len(listed)), listed)]
-    else:  # ragged input: one kernel call per set size
-        listed = [_as_indices(s, "candidate set").ravel() for s in candidate_sets]
-        sizes = np.array([s.size for s in listed])
-        wheres = [np.flatnonzero(sizes == size) for size in np.unique(sizes)]
-        groups = [(w, np.array([listed[i] for i in w])) for w in wheres]
-    if len(listed) == 0:
-        raise ValueError("candidate_sets must be non-empty")
     n, d, x, y = problem.n, problem.d, problem.x, problem.y
-    outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
-    moments = np.column_stack([outer, x * y[:, None], y * y])  # the sums _screen takes per set
-    lo, hi = np.empty(len(listed)), np.empty(len(listed))
-    for where, sets in groups:
-        _check_index_sets(sets, n, "candidate set")
-        lo[where], hi[where] = _screen(moments, sets, d)
+    sets = _index_sets(candidate_sets, "candidate set", 2, n)
+    if not len(sets):
+        raise ValueError("candidate_sets must be non-empty")
+    lo, hi = _screen(_moments(x, y), sets, d)
     tau = 16 * _EPS * float(y @ y) / n
-    bound = hi.min() + tau
-    if np.count_nonzero(lo <= bound) > 1:  # rescore every set the tie rule could pick
-        errs = np.full(len(listed), np.inf)
-        for where, sets in groups:
-            near = np.flatnonzero(lo[where] <= bound)
-            for start in range(0, len(near), _CHUNK_SETS):  # gathered a chunk at a time
-                part = near[start : start + _CHUNK_SETS]
-                errs[where[part]] = _subset_errors(x, y, sets[part])
-        lo, bound = errs, errs.min() + tau
-    winner = np.sort(listed[int(np.argmax(lo <= bound))])
+    near = np.flatnonzero(lo <= hi.min() + tau)
+    if len(near) > 1:  # rescore every set the tie rule could pick, gathered a chunk at a time
+        parts = [near[i : i + _CHUNK_SETS] for i in range(0, len(near), _CHUNK_SETS)]
+        errs = np.concatenate([_subset_errors(x, y, sets[part]) for part in parts])
+        near = near[errs <= errs.min() + tau]
+    winner = np.sort(sets[near[0] if len(near) else 0])  # none only if overflow made a NaN
     return _fit_result(problem, _lstsq(x[winner - 1], y[winner - 1]), winner, "BFS")
 
 
@@ -477,25 +475,19 @@ def eta_condition(
         raise FeasibilityError(
             f"C({n},{a_count}) = {count} subsets exceeds the cap of {cap}"
         )
-    inl = _as_indices(inliers, "inlier").ravel()
-    _check_index_sets(inl[None, :], n, "inlier")
     is_inlier = np.zeros(n, dtype=bool)
-    is_inlier[inl - 1] = True
-    # ||X_V||_2^2 is the top eigenvalue of the sum of x_k x_k^T over k in V
-    x = problem.x
-    outer = np.einsum("ki,kj->kij", x, x).reshape(n, d * d)
-    subsets = combinations(range(n), a_count)  # 0-based, streamed _CHUNK_SETS at a time
+    is_inlier[_index_sets(inliers, "inlier", n=n) - 1] = True
+    # X_S^T X_S and X_V^T X_V are sums of x_k x_k^T over the rows of S and of V = S xor I
+    outer = _moments(problem.x, problem.y)[:, : d * d]
+    subsets = combinations(range(1, n + 1), a_count)  # streamed _CHUNK_SETS at a time
     worst = 0.0
     while True:
         flat = chain.from_iterable(islice(subsets, _CHUNK_SETS))
-        rows = np.fromiter(flat, np.intp).reshape(-1, a_count)
-        if not len(rows):
+        mask = _row_mask(np.fromiter(flat, np.intp).reshape(-1, a_count), n)
+        if not len(mask):
             return worst
-        xs = x[rows]
-        lam = np.linalg.eigvalsh(np.swapaxes(xs, 1, 2) @ xs)
+        lam = np.linalg.eigvalsh((mask @ outer).reshape(-1, d, d))
         if _singular(lam, a_count, d).any():
             return float("inf")
-        in_v = np.tile(is_inlier, (len(rows), 1))
-        np.put_along_axis(in_v, rows, ~is_inlier[rows], axis=1)
-        top = np.linalg.eigvalsh((in_v @ outer).reshape(-1, d, d))[:, -1]
+        top = np.linalg.eigvalsh(((mask != is_inlier) @ outer).reshape(-1, d, d))[:, -1]
         worst = max(worst, float(np.sqrt(np.maximum(top, 0.0) / lam[:, 0]).max()))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import BasisKind, BasisMatrix, build_basis, inverse_transform, transform
 from .errors import ConfigurationError, check_count, check_positive
-from .robust import _as_indices
+from .robust import _index_sets
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,10 @@ class BandLimitedProcess:
     count is known.  The covariate process must carry energy at every observed
     frequency (otherwise frequencies with an exactly-zero covariate make the
     robust step degenerate), so the default scales with n instead of pinning a
-    fixed upper band edge.  An explicit support containing an index above n is
-    rejected at generation time rather than silently clipped.
+    fixed upper band edge.  An explicit support is one flat index set under the
+    index-set rule of ``ols`` and ``bfs`` (integers, non-empty, 1-based, distinct),
+    but raises ``ConfigurationError``.  An index above n is rejected by
+    ``check_support_fits`` once n is known, rather than silently clipped.
     """
 
     support: tuple[int, ...] | None = None
@@ -86,14 +88,8 @@ class BandLimitedProcess:
     def __post_init__(self):
         check_positive("coefficient std", self.coeff_std)
         if self.support is not None:
-            sup = tuple(_as_indices(self.support, "band support", ConfigurationError).tolist())
-            if len(sup) == 0:
-                raise ConfigurationError("band support must be non-empty")
-            if min(sup) < 1:
-                raise ConfigurationError("band support indices are 1-based")
-            if len(set(sup)) != len(sup):
-                raise ConfigurationError("band support indices must be distinct")
-            object.__setattr__(self, "support", sup)
+            sup = _index_sets(self.support, "band support", error=ConfigurationError)
+            object.__setattr__(self, "support", tuple(sup.tolist()))
 
     def _coefficients(
         self, basis: BasisMatrix, columns: int, horizon: float, rng: np.random.Generator

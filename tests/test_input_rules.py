@@ -1,7 +1,8 @@
 """Each input rule has one implementation: every entry point accepts or rejects a value alike.
 
 The rules are the threshold ``a`` (``resolve_count``), the 1-based index sets
-of ``ols``, ``bfs``, ``eta_condition`` and a band support, the band support and
+of ``ols``, ``bfs``, ``eta_condition`` and a band support, shape included (one
+flat set, or one 2-d array of candidate sets), the band support and
 coefficient std of a band-limited process, the OU parameters with the grid
 horizon, the two sizes a sample count must hold: the covariates
 (``check_sample_count``) and a band support (``check_support_fits``),
@@ -139,6 +140,26 @@ NON_INTEGRAL_INDEX_SETS = [
     ["2"],
     [True],
 ]
+# (entry point, value): a set is a flat sequence and candidate sets one 2-d array, so
+# no entry point flattens, groups or splits a value of another shape
+WRONG_SHAPE_CALLS = {
+    "ols": ols,
+    "eta_condition": lambda problem, rows: eta_condition(problem, 6, rows),
+    "bfs": bfs,
+    "band support": lambda problem, support: BandLimitedProcess(support),
+}
+WRONG_SHAPE_INDEX_SETS = [
+    ("ols", [[1, 2], [3, 4]]),
+    ("ols", 3),
+    ("eta_condition", [[1, 2], [3, 4]]),
+    ("eta_condition", 3),
+    ("bfs", np.array([1, 2, 3])),
+    ("bfs", [1, 2, 3]),
+    ("bfs", [[[1, 2, 3, 4], [5, 6, 7, 8]]]),
+    ("bfs", [(1,), (2, 3)]),
+    ("band support", [[1, 2]]),
+    ("band support", 3),
+]
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +211,16 @@ class TestIndexSetRule:
                 call([1, 9])
             with pytest.raises(ValueError, match="must not repeat an index"):
                 call([1, 1, 2])
+        # a band support's n comes later, from check_support_fits
+        for support, message in ([], "s must be non-empty$"), ([1, 1, 2], "must not repeat"):
+            with pytest.raises(ConfigurationError, match=message):
+                BandLimitedProcess(support)
+
+    @pytest.mark.parametrize("entry, value", WRONG_SHAPE_INDEX_SETS, ids=repr)
+    def test_wrong_shape_rejected(self, problem, entry, value):
+        error = ConfigurationError if entry == "band support" else ValueError
+        with pytest.raises(error, match="^[a-z ]+ indices must form a "):
+            WRONG_SHAPE_CALLS[entry](problem, value)
 
 
 # (support, coeff_std); an index above n is the n-dependent check, outside this rule

@@ -54,10 +54,8 @@ def residual_kernel_winner(p, sets):
 
 
 def screen_bounds(p, sets):
-    """``robust._screen``'s (lower, upper) bounds, with the moments built here from x and y."""
-    x, y, n, d = p.x, p.y, p.n, p.d
-    outer = np.einsum("ki,kj->kij", x, x).reshape(n, d * d)
-    return robust._screen(np.column_stack([outer, x * y[:, None], y * y]), sets, d)
+    """``robust._screen``'s (lower, upper) bounds on the moments ``bfs`` gives it."""
+    return robust._screen(robust._moments(p.x, p.y), sets, p.d)
 
 
 def exhaustive_bfs_oracle(x, y, size):
@@ -600,39 +598,6 @@ class TestBfsKernel:
             sets = candidate_sets_all_of_size(12, 9)
             assert list(bfs(p, sets).inliers) == list(residual_kernel_winner(p, sets)), seed
 
-    def test_ragged_candidates(self):
-        rng = np.random.default_rng(710)
-        p, _, _ = planted_instance(rng, n=9, d=2, n_out=2, magnitude=6.0)
-        p = RegressionProblem(p.x, p.y + 0.2 * rng.normal(size=9))
-        sets = [c for size in (7, 5, 6) for c in combinations(range(1, 10), size)]
-        sets = sets[::-1]
-        fit = bfs(p, iter(sets))
-        oracle_set, oracle_beta = listed_bfs_oracle(p.x, p.y, sets)
-        assert list(fit.inliers) == list(oracle_set)
-        assert np.max(np.abs(fit.beta - oracle_beta)) < 1e-10
-
-    def test_ragged_shortlist_mixes_set_sizes(self, monkeypatch):
-        # noiseless with one outlier: the exact fits of every size are near-tied,
-        # rescored one size at a time, and the first of them in iteration order wins
-        rng = np.random.default_rng(715)
-        x = rng.normal(size=(9, 2))
-        y = x @ np.array([1.0, -2.0])
-        y[3] += 7.0
-        sets = [c for size in (5, 7, 6) for c in combinations(range(1, 10), size)][::-1]
-        rescored = []
-        subset_errors = robust._subset_errors
-
-        def recording(x, y, sets):
-            rescored.append(sets.shape)
-            return subset_errors(x, y, sets)
-
-        monkeypatch.setattr(robust, "_subset_errors", recording)
-        fit = bfs(RegressionProblem(x, y), sets)
-        assert {s for _, s in rescored} == {5, 6, 7}
-        oracle_set, _ = listed_bfs_oracle(x, y, sets)
-        first_exact = next(s for s in sets if 4 not in s)
-        assert list(fit.inliers) == list(oracle_set) == sorted(first_exact)
-
     def test_zero_column_gives_minimum_norm_fit(self):
         rng = np.random.default_rng(720)
         x = rng.normal(size=(8, 2))
@@ -674,23 +639,27 @@ class TestBfsKernel:
 
     def test_validation_errors(self):
         p = RegressionProblem(np.ones((3, 1)), np.ones(3))
-        for bad in ([(1, 4)], np.array([[0, 1]]), [(1,), (2, 3, 4)]):
+        for bad in ([(1, 4)], np.array([[0, 1]]), [(1, 2), (3, 4)]):
             with pytest.raises(ValueError, match="lie in 1..3"):
                 bfs(p, bad)
         with pytest.raises(ValueError, match="candidate_sets must be non-empty"):
             bfs(p, np.empty((0, 2), dtype=int))
         with pytest.raises(ValueError, match="candidate sets must be non-empty"):
-            bfs(p, [(1,), ()])
+            bfs(p, [(), ()])
+        with pytest.raises(ValueError, match="must form a rectangular array, got a ragged one"):
+            bfs(p, [(1,), (2, 3)])
 
     def test_repeated_index_rejected(self):
         p = RegressionProblem(np.arange(1.0, 7.0), np.arange(1.0, 7.0))
         for bad in (
             [(1, 1, 2), (3, 4, 5)],
             np.array([[1, 2, 3], [4, 6, 4]]),  # out of order, repeat not adjacent
-            [(1, 2), (5, 3, 5)],  # ragged
+            [(1, 2, 6), (5, 3, 5)],
         ):
             with pytest.raises(ValueError, match="repeat an index"):
                 bfs(p, bad)
+        with pytest.raises(ValueError, match="ragged"):
+            bfs(p, [(1, 2), (5, 3, 5)])
         with pytest.raises(ValueError, match="distinct"):
             ols(p, [1, 1, 2])
         # unordered sets without repeats are fitted as given
