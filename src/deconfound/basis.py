@@ -24,6 +24,7 @@ cosine transforms are the orthonormal FFT-based DCT-II/DCT-III of
 transforms are a pairwise sum/difference pyramid (Mallat 1989), O(n).  The
 cutoff is where the two cost the same: below it scipy's per-call overhead
 dominates, at n = 1024 the DCT is about 20x faster than the product.
+``scipy.fft`` is imported by the first DCT, not with this module.
 
 A basis is its kind and its size n and nothing else: ``build_basis(kind, n)``
 is O(1), and ``BasisMatrix.matrix`` is built only when it is read.
@@ -41,7 +42,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, check_count, check_positive
 
@@ -199,6 +199,7 @@ def transform(series: np.ndarray, basis: BasisMatrix) -> np.ndarray:
     if basis.n <= DENSE_MAX_N:
         out = basis.matrix.T @ arr / basis.n
     elif basis.kind is BasisKind.COSINE:
+        import scipy.fft  # only a DCT needs it, and importing it costs about 0.35 s
         out = scipy.fft.dct(arr, type=2, norm="ortho", axis=0) / math.sqrt(basis.n)
     else:
         out = _haar_analysis(arr)
@@ -211,6 +212,7 @@ def inverse_transform(freq: np.ndarray, basis: BasisMatrix) -> np.ndarray:
     if basis.n <= DENSE_MAX_N:
         out = basis.matrix @ arr
     elif basis.kind is BasisKind.COSINE:
+        import scipy.fft
         out = scipy.fft.idct(arr, type=2, norm="ortho", axis=0) * math.sqrt(basis.n)
     else:
         out = _haar_synthesis(arr)

@@ -44,6 +44,8 @@ class ExperimentSpec:
             raise ValueError("n_grid must be non-empty")
         if list(grid) != sorted(grid):
             raise ValueError("n_grid must be sorted ascending")
+        if len(set(grid)) < len(grid):  # a repeated size would run its cells twice
+            raise ValueError(f"n_grid must not repeat a size, got {grid}")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for name, low in ("replicates", 1), ("seed_base", 0):
@@ -71,13 +73,19 @@ def _check_at(n: int, field: str, check, *args) -> None:
 
 
 @dataclass(frozen=True)
-class ResultRow:
-    """Aggregated cell result; ``failed`` replicates are excluded from the MAE."""
+class _CellKey:
+    """The cell an entry belongs to; its fields lead both CSV headers."""
 
     n: int
     method: str
     sigma_eta2: float
     conf_prob: float
+
+
+@dataclass(frozen=True)
+class ResultRow(_CellKey):
+    """Aggregated cell result; ``failed`` replicates are excluded from the MAE."""
+
     mae: float
     mae_stderr: float
     mean_iterations: float
@@ -86,13 +94,9 @@ class ResultRow:
 
 
 @dataclass(frozen=True)
-class ReplicateRecord:
+class ReplicateRecord(_CellKey):
     """Per-replicate error log entry backing the aggregated rows."""
 
-    n: int
-    method: str
-    sigma_eta2: float
-    conf_prob: float
     replicate: int
     abs_error: float
     iterations: int
@@ -135,6 +139,7 @@ def run_experiment(spec: ExperimentSpec):
         sim_n = replace(spec.sim, n=n)
         beta_true = sim_n.beta_vector()
         for m_index, (cfg, label) in enumerate(zip(spec.methods, labels)):
+            key = vars(_CellKey(n, label, sim_n.sigma_eta2, sim_n.conf_prob))
             cell: list[ReplicateRecord] = []
             for r in range(spec.replicates):
                 rng = make_rng(_replicate_seed(spec.seed_base, n, m_index, r))
@@ -148,14 +153,7 @@ def run_experiment(spec: ExperimentSpec):
                     failed, iterations = False, est.iterations
                 cell.append(
                     ReplicateRecord(
-                        n=n,
-                        method=label,
-                        sigma_eta2=sim_n.sigma_eta2,
-                        conf_prob=sim_n.conf_prob,
-                        replicate=r,
-                        abs_error=err,
-                        iterations=iterations,
-                        failed=failed,
+                        **key, replicate=r, abs_error=err, iterations=iterations, failed=failed
                     )
                 )
             records.extend(cell)
@@ -170,10 +168,7 @@ def run_experiment(spec: ExperimentSpec):
                 mae, stderr, mean_iter, max_iter = float("nan"), float("nan"), float("nan"), 0
             rows.append(
                 ResultRow(
-                    n=n,
-                    method=label,
-                    sigma_eta2=sim_n.sigma_eta2,
-                    conf_prob=sim_n.conf_prob,
+                    **key,
                     mae=mae,
                     mae_stderr=stderr,
                     mean_iterations=mean_iter,

@@ -63,25 +63,21 @@ class DecorConfig:
 
 
 @dataclass(frozen=True)
-class DecorEstimate:
-    """Estimate plus diagnostics.
+class DecorEstimate(robust.RobustFit):
+    """The robust fit of the basis-domain problem plus its time-domain report.
 
-    ``excluded_frequencies`` (the complement of ``inliers``) are the
-    frequencies the robust step treated as confounded; both are 1-based.
-    ``fitted_time_domain`` is the deconfounded covariate path times the
-    coefficient estimate, and residuals are defined so that
-    fitted + residuals = y exactly.
+    ``residual_norm`` is the fit's, in the basis domain; ``method`` is a ``Method``.
+    ``excluded_frequencies`` (the complement of ``inliers``) are the frequencies
+    the robust step treated as confounded; both are 1-based.  ``fitted_time_domain``
+    is the deconfounded covariate path times the coefficient estimate, and
+    residuals are defined so that fitted + residuals = y exactly.
     """
 
-    beta: np.ndarray
+    method: Method
     excluded_frequencies: np.ndarray
-    inliers: np.ndarray
-    iterations: int
     fitted_time_domain: np.ndarray
     residuals_time_domain: np.ndarray
     r_squared: float
-    converged: bool
-    method: Method
 
     def to_json_dict(self) -> dict:
         """JSON-ready representation (schema_version "1", 1-based index arrays)."""
@@ -168,13 +164,9 @@ def decor_fit(
     fitted = x_clean @ fit.beta
     residuals = y - fitted
     return DecorEstimate(
-        beta=fit.beta,
+        **{**vars(fit), "method": method},
         excluded_frequencies=excluded,
-        inliers=fit.inliers,
-        iterations=fit.iterations,
         fitted_time_domain=fitted,
         residuals_time_domain=residuals,
         r_squared=_r_squared(y, residuals),
-        converged=fit.converged,
-        method=method,
     )

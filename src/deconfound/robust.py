@@ -34,7 +34,7 @@ class RegressionProblem:
     """An immutable (X, y) regression instance with finite entries.
 
     ``x`` is coerced to an (n, d) matrix (a 1-d input becomes a single
-    column); ``y`` to an (n,) vector.
+    column); ``y``, of shape (n,) or (n, 1), to an (n,) vector.
     """
 
     x: np.ndarray
@@ -45,7 +45,7 @@ class RegressionProblem:
         x = np.array(self.x, dtype=float, copy=True)
         if x.ndim == 1:
             x = x[:, None]
-        y = np.array(self.y, dtype=float, copy=True).ravel()
+        y = _as_vector(self.y, "y")
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError(f"x must be a nonempty 2-d matrix, got shape {x.shape}")
         if y.shape[0] != x.shape[0]:
@@ -84,6 +84,14 @@ class RobustFit:
     residual_norm: float
     converged: bool
     method: str
+
+
+def _as_vector(values, what: str) -> np.ndarray:
+    """A new float vector from shape (n,), or (n, 1) read as its column; no other shape passes."""
+    v = np.array(values, dtype=float)
+    if v.ndim != 1 and v.shape[1:] != (1,):
+        raise ValueError(f"{what} must have shape (n,) or (n, 1), got shape {v.shape}")
+    return v.reshape(-1)
 
 
 def _as_indices(values, what: str, error=ValueError) -> np.ndarray:
@@ -162,10 +170,10 @@ def hard_threshold(v: np.ndarray, a: int) -> np.ndarray:
     """Indices (1-based, ascending) of the ``a`` smallest entries of ``v``.
 
     Ties are broken toward the lower index (stable sort), which keeps the
-    selection deterministic.
+    selection deterministic.  ``v`` has shape (n,) or (n, 1), as ``y`` does.
     """
     a = check_count("a", a)
-    v = np.asarray(v, dtype=float).ravel()
+    v = _as_vector(v, "v")
     n = v.shape[0]
     if a > n:
         raise ValueError(f"a must lie in 1..{n}, got {a}")
@@ -301,19 +309,25 @@ def candidate_sets_all_of_size(
         If ``C(n, size)`` exceeds ``cap``; exhaustive search is hopeless then
         and an iterative method (torrent) should be used instead.
     """
-    n, size, cap = check_count("n", n), check_count("size", size), check_count("cap", cap)
+    n, size = check_count("n", n), check_count("size", size)
     if size > n:
         raise ValueError(f"size must lie in 1..{n}, got {size}")
-    count = math.comb(n, size)
-    if count > cap:
-        raise FeasibilityError(
-            f"C({n},{size}) = {count} candidate sets exceeds the cap of {cap}; "
-            "use torrent instead of exhaustive search"
-        )
+    count = _enumeration_count(n, size, cap)
     # building the array costs more than fitting it, so repeated requests are
     # memoised, but only up to 1 MiB: a cap-sized enumeration never stays resident
     small = count * size * np.dtype(np.intp).itemsize <= 1 << 20
     return (_small_combinations if small else _all_combinations)(n, size)
+
+
+def _enumeration_count(n: int, size: int, cap) -> int:
+    """C(n, size), or ``FeasibilityError`` above ``cap`` (a count): the one enumeration-cap rule."""
+    cap = check_count("cap", cap)
+    count = math.comb(n, size)
+    if count > cap:
+        raise FeasibilityError(
+            f"C({n},{size}) = {count} subsets exceeds the cap of {cap}; too many to enumerate"
+        )
+    return count
 
 
 def _singular(lam: np.ndarray, s: int, d: int) -> np.ndarray:
@@ -470,11 +484,7 @@ def eta_condition(
     """
     n, d = problem.n, problem.d
     a_count = resolve_count(a, n)
-    count = math.comb(n, a_count)
-    if count > cap:
-        raise FeasibilityError(
-            f"C({n},{a_count}) = {count} subsets exceeds the cap of {cap}"
-        )
+    _enumeration_count(n, a_count, cap)
     is_inlier = np.zeros(n, dtype=bool)
     is_inlier[_index_sets(inliers, "inlier", n=n) - 1] = True
     # X_S^T X_S and X_V^T X_V are sums of x_k x_k^T over the rows of S and of V = S xor I

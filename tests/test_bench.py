@@ -183,6 +183,13 @@ class TestCsvOutput:
         with pytest.raises(ValueError):
             small_spec(n_grid=(16, 8))
 
+    def test_grid_must_not_repeat_a_size(self):
+        # a repeated size would run its cells twice, from the same substreams
+        with pytest.raises(ValueError, match=r"^n_grid must not repeat a size, got \(8, 8, 16\)$"):
+            small_spec(n_grid=(8, 8, 16))
+        with pytest.raises(ValueError, match="^n_grid must be sorted ascending$"):
+            small_spec(n_grid=(16, 8, 8))
+
     @pytest.mark.parametrize(
         "n_grid, named",
         [

@@ -367,6 +367,7 @@ NEW_SPEC_ERRORS = {
         _sim(ou_eps={"drift": -1}), " /sim/ou_eps: applies only to process 'ou'"
     ),
     "band field with ou": (_ou(coeff_std=2.0), " /sim/coeff_std: applies only to process 'band'"),
+    "n_grid repeated": (_spec(n_grid=[8, 8]), " : n_grid must not repeat a size, got (8, 8)"),
     "schema_version": (_spec(schema_version="2"), " /schema_version: expected '1'"),
     "schema_version type": (_spec(schema_version=1), " /schema_version: expected str, got int"),
     "band_support float": (

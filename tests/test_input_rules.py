@@ -4,7 +4,8 @@ The rules are the threshold ``a`` (``resolve_count``), the 1-based index sets
 of ``ols``, ``bfs``, ``eta_condition`` and a band support, shape included (one
 flat set, or one 2-d array of candidate sets), the band support and
 coefficient std of a band-limited process, the OU parameters with the grid
-horizon, the two sizes a sample count must hold: the covariates
+horizon, the shape of ``y`` and of ``hard_threshold``'s ``v`` (``_as_vector``),
+the two sizes a sample count must hold: the covariates
 (``check_sample_count``) and a band support (``check_support_fits``),
 every size or count (``check_count``), and the tolerance of an
 orthonormality check (``check_positive``).
@@ -223,6 +224,41 @@ class TestIndexSetRule:
             WRONG_SHAPE_CALLS[entry](problem, value)
 
 
+# y, and hard_threshold's v: shape (n,), or (n, 1) read as its column; each entry point as a
+# function of the vector, with one row of x per entry of it
+VECTOR_CALLS = {
+    "decor_fit": ("y", lambda v: decor_fit(np.arange(1.0, np.size(v) + 1), v).beta),
+    "RegressionProblem": ("y", lambda v: RegressionProblem(np.ones(np.size(v)), v).y),
+    "ols": ("y", lambda v: ols(RegressionProblem(np.ones((np.size(v), 1)), v))),
+    "hard_threshold": ("v", lambda v: hard_threshold(v, 2)),
+}
+ACCEPTED_VECTORS = [np.array([[3.0], [1.0], [4.0], [1.5]]), [[3.0], [1.0], [4.0], [1.5]]]
+# no other shape is flattened: a square, a row, a 3-d column and a scalar (for one row of x)
+REJECTED_VECTORS = [
+    np.ones((2, 2)),
+    np.arange(6.0).reshape(2, 3),
+    np.arange(6.0).reshape(1, 6),
+    np.arange(4.0).reshape(4, 1, 1),
+    np.float64(3.0),
+]
+
+
+class TestVectorRule:
+    @pytest.mark.parametrize("value", ACCEPTED_VECTORS, ids=["array", "nested list"])
+    @pytest.mark.parametrize("entry", VECTOR_CALLS)
+    def test_column_read_as_its_vector_everywhere(self, entry, value):
+        _, call = VECTOR_CALLS[entry]
+        assert np.array_equal(call(value), call(np.ravel(value)))
+
+    @pytest.mark.parametrize("value", REJECTED_VECTORS, ids=lambda v: f"shape{np.shape(v)}")
+    @pytest.mark.parametrize("entry", VECTOR_CALLS)
+    def test_rejected_everywhere(self, entry, value):
+        name, call = VECTOR_CALLS[entry]
+        message = f"{name} must have shape (n,) or (n, 1), got shape {np.shape(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
 # (support, coeff_std); an index above n is the n-dependent check, outside this rule
 ACCEPTED_BANDS = [([1, 2], 1.0), ([8, 3], 0.5), ((2,), 1e-3), (None, 1.0)]
 REJECTED_BANDS = [
@@ -337,7 +373,8 @@ def count_spec(**fields):
 
 COUNT_PROBLEM = RegressionProblem(np.arange(8.0), np.arange(8.0) ** 2)
 # each size or count: (its name in the message, its least value, the count as the entry point
-# keeps it, or for torrent the refits it ran, for a cap the entries of the one set it lets through)
+# keeps it, or for torrent the refits it ran, for a cap the entries of the one set it lets through,
+# or for eta_condition's cap that set's certificate against inlier row 1: 140 / 140, so 1)
 COUNTS = {
     "build_basis n": ("n", 1, lambda v: build_basis("cosine", v).n),
     "SimConfig.n": ("n", 1, lambda v: SimConfig(n=v).n),
@@ -357,6 +394,7 @@ COUNTS = {
     "candidate_sets_all_of_size cap": (
         "cap", 1, lambda v: candidate_sets_all_of_size(8, 8, cap=v).size
     ),
+    "eta_condition cap": ("cap", 1, lambda v: round(eta_condition(COUNT_PROBLEM, 8, [1], v))),
 }
 # spellings of the count 8
 ACCEPTED_COUNTS = [8, np.int64(8), np.uint16(8), 8.0, np.float32(8.0), np.float64(8.0)]

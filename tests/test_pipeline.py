@@ -11,10 +11,18 @@ from deconfound import (
     DecorConfig,
     FeasibilityError,
     Method,
+    RegressionProblem,
+    RobustFit,
     SimConfig,
+    bfs,
+    build_basis,
+    candidate_sets_all_of_size,
     decor_fit,
     generate,
+    ols,
     resolve_count,
+    torrent,
+    transform,
 )
 
 ALL_METHODS = [Method.TORRENT, Method.BFS, Method.OLS_BASELINE]
@@ -221,6 +229,29 @@ class TestDecorFit:
         expected = np.setdiff1d(np.arange(1, n + 1), est.inliers)
         assert est.excluded_frequencies.dtype == expected.dtype
         np.testing.assert_array_equal(est.excluded_frequencies, expected)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("basis_kind, d", [(BasisKind.COSINE, 1), (BasisKind.HAAR, 2)])
+    def test_estimate_is_the_robust_fit_of_the_transformed_problem(self, basis_kind, d, method):
+        n = 16
+        x, y, _ = generate(SimConfig(n=n, d=d, basis_kind=basis_kind, seed=43))
+        config = DecorConfig(basis_kind=basis_kind, method=method)
+        est = decor_fit(x, y, config)
+        # x and y transformed in one call, as decor_fit does, so the problem is bit-identical
+        xy = transform(np.column_stack([x, y]), build_basis(basis_kind, n))
+        problem = RegressionProblem(xy[:, :d], xy[:, d])
+        if method is Method.TORRENT:
+            fit = torrent(problem, config.a, config.max_iter)
+        elif method is Method.BFS:
+            fit = bfs(problem, candidate_sets_all_of_size(n, resolve_count(config.a, n)))
+        else:
+            beta = ols(problem)
+            norm = float(np.linalg.norm(problem.y - problem.x @ beta))
+            fit = RobustFit(beta, np.arange(1, n + 1), 0, norm, True, "OLS")
+        assert isinstance(est, RobustFit)
+        for name in "beta", "inliers", "iterations", "residual_norm", "converged":
+            assert np.array_equal(getattr(est, name), getattr(fit, name)), name
+        assert est.method is method
 
 
 class TestDecorConfig:

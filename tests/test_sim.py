@@ -87,6 +87,15 @@ def process_path(process, n, seed=0, rng=None):
     return generate(config, rng=rng)[2].u_time
 
 
+def in_fresh_process(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this checkout's package."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+
+
 class TestOu:
     def test_lag_one_autocorrelation(self):
         # exact discretization: corr(V_k, V_{k+1}) = exp(drift * dt); pool
@@ -138,12 +147,20 @@ class TestOu:
             "deconfound.generate(deconfound.SimConfig(4, conf_prob=1.0, u_process=ou))\n"
             "print(before, 'scipy.signal' in sys.modules)"
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        ).stdout
-        assert out == "False True\n"
+        assert in_fresh_process(code) == "False True\n"
+
+    def test_scipy_fft_is_imported_only_for_a_dct(self):
+        # up to n = 256 a cosine transform is a matrix product; above it, a DCT
+        code = (
+            "import sys, numpy as np, deconfound, deconfound.cli\n"
+            "rng = np.random.default_rng(0)\n"
+            "fit = lambda n: deconfound.decor_fit(rng.normal(size=n), rng.normal(size=n))\n"
+            "fit(64)\n"
+            "before = 'scipy.fft' in sys.modules\n"
+            "fit(512)\n"
+            "print(before, 'scipy.fft' in sys.modules)"
+        )
+        assert in_fresh_process(code) == "False True\n"
 
 
 class TestBandLimited:
