@@ -95,8 +95,14 @@ class DecorEstimate(robust.RobustFit):
         }
 
 
-def _r_squared(y: np.ndarray, residuals: np.ndarray) -> float:
-    """Coefficient of determination with centered sums of squares."""
+def _r_squared(y: np.ndarray, residuals: np.ndarray, e: int) -> float:
+    """Coefficient of determination with centered sums of squares.
+
+    y and the residuals are first scaled by 2^-e, exactly, where e is y's
+    ``robust._scale_exponent``.  A least-squares fit's residuals stay within a small
+    multiple of y's largest magnitude, so no sum of squares leaves float range."""
+    if e:
+        y, residuals = np.ldexp(y, -e), np.ldexp(residuals, -e)
     n = y.shape[0]
     dy = y - y.sum() / n
     dr = residuals - residuals.sum() / n
@@ -135,15 +141,14 @@ def decor_fit(
         two).
     """
     # checked before the transform, so a non-finite value is rejected, never multiplied
-    data = robust.RegressionProblem(x, y)
-    x, y = data.x, data.y
+    x, y, (_, y_exponent) = robust._design(x, y)
     n, d = x.shape
     check_sample_count(n, d)
 
     basis = build_basis(config.basis_kind, n)
     xy_freq = transform(np.column_stack([x, y]), basis)
-    x_freq, y_freq = xy_freq[:, :d], xy_freq[:, d]
-    problem = robust.RegressionProblem(x_freq, y_freq)
+    # checked again: a finite column near the float limit can overflow in the transform
+    problem = robust.RegressionProblem(xy_freq[:, :d], xy_freq[:, d])
 
     method = config.method
     if method is Method.TORRENT:
@@ -158,7 +163,7 @@ def decor_fit(
     confounded = np.ones(n, dtype=bool)
     confounded[fit.inliers - 1] = False
     excluded = np.flatnonzero(confounded) + 1
-    x_freq_clean = x_freq.copy()
+    x_freq_clean = problem.x.copy()
     x_freq_clean[confounded] = 0.0
     x_clean = inverse_transform(x_freq_clean, basis)
     fitted = x_clean @ fit.beta
@@ -168,5 +173,5 @@ def decor_fit(
         excluded_frequencies=excluded,
         fitted_time_domain=fitted,
         residuals_time_domain=residuals,
-        r_squared=_r_squared(y, residuals),
+        r_squared=_r_squared(y, residuals, y_exponent),
     )

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Sequence
 
@@ -34,7 +34,8 @@ class RegressionProblem:
     """An immutable (X, y) regression instance with finite entries.
 
     ``x`` is coerced to an (n, d) matrix (a 1-d input becomes a single
-    column); ``y``, of shape (n,) or (n, 1), to an (n,) vector.
+    column); ``y``, of shape (n,) or (n, 1), to an (n,) vector.  The private
+    ``_scale`` holds the exponents ``(ex, ey)`` that ``_scaled`` fits them at.
     """
 
     x: np.ndarray
@@ -42,22 +43,12 @@ class RegressionProblem:
 
     def __post_init__(self):
         # copy so marking the arrays read-only cannot affect caller-owned data
-        x = np.array(self.x, dtype=float, copy=True)
-        if x.ndim == 1:
-            x = x[:, None]
-        y = _as_vector(self.y, "y")
-        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-            raise ValueError(f"x must be a nonempty 2-d matrix, got shape {x.shape}")
-        if y.shape[0] != x.shape[0]:
-            raise ValueError(
-                f"y must have one entry per row of x: {y.shape[0]} != {x.shape[0]}"
-            )
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("x and y must be finite (no NaN/Inf)")
+        x, y, scale = _design(np.array(self.x, dtype=float, copy=True), self.y)
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "_scale", scale)
 
     @property
     def n(self) -> int:
@@ -84,6 +75,27 @@ class RobustFit:
     residual_norm: float
     converged: bool
     method: str
+
+
+def _design(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """``x`` as an (n, d) float matrix (a 1-d input is one column) and ``y`` as a new (n,)
+    vector, both finite, with the ``_scale_exponent`` of each: the input rule of
+    ``RegressionProblem``, which ``decor_fit`` applies before its transform so that no
+    non-finite value is multiplied.  One read of the largest magnitudes serves both."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    y = _as_vector(y, "y")
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+        raise ValueError(f"x must be a nonempty 2-d matrix, got shape {x.shape}")
+    if y.shape[0] != x.shape[0]:
+        raise ValueError(
+            f"y must have one entry per row of x: {y.shape[0]} != {x.shape[0]}"
+        )
+    tops = float(np.abs(x).max()), float(np.abs(y).max())  # NaN if any entry is NaN
+    if not (tops[0] < np.inf and tops[1] < np.inf):
+        raise ValueError("x and y must be finite (no NaN/Inf)")
+    return x, y, (_scale_exponent(tops[0]), _scale_exponent(tops[1]))
 
 
 def _as_vector(values, what: str) -> np.ndarray:
@@ -140,10 +152,31 @@ def _index_sets(values, what: str, ndim: int = 1, n: int | None = None, error=Va
 
 
 def _fit_result(problem, beta, inliers, method, iterations=0, converged=True):
-    """A ``RobustFit`` with the residual norm of ``beta`` on the 1-based ``inliers``."""
+    """A ``RobustFit`` with the residual norm of ``beta`` on the 1-based ``inliers``, taken
+    at the problem's fitting scale (``_scaled``), so that it cannot overflow."""
+    x, y, ex, ey = _scaled(problem)
     rows = inliers - 1
-    residual_norm = float(np.linalg.norm(problem.y[rows] - problem.x[rows] @ beta))
-    return RobustFit(beta, inliers, iterations, residual_norm, converged, method)
+    residual_norm = float(np.linalg.norm(y[rows] - x[rows] @ _rescaled(beta, ex - ey)))
+    return RobustFit(beta, inliers, iterations, _rescaled(residual_norm, ey), converged, method)
+
+
+def _scale_exponent(top: float) -> int:
+    """The e that puts 2^-e ``top`` in [0.5, 1) when a largest magnitude ``top`` lies outside
+    [2^-500, 2^500], else 0 (for 0, inf and NaN too).  As LAPACK's ``dgelsd`` scales, an
+    array scaled by the exact power 2^-e has no sum of squares or products out of range."""
+    return math.frexp(top)[1] if 0.0 < top < 2.0**-500 or 2.0**500 < top < np.inf else 0
+
+
+def _rescaled(value, e: int):
+    """``value`` times 2^e, exactly, or ``value`` itself for e = 0."""
+    return np.ldexp(value, e) if e else value
+
+
+def _scaled(problem: RegressionProblem) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``(2^-ex x, 2^-ey y, ex, ey)``: the problem at the scale ``torrent`` and ``bfs`` fit
+    it, which is the problem itself whenever its magnitudes lie in [2^-500, 2^500]."""
+    ex, ey = problem._scale
+    return _rescaled(problem.x, -ex), _rescaled(problem.y, -ey), ex, ey
 
 
 def _lstsq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -230,7 +263,9 @@ def torrent(
     more), or calls ``lstsq`` for the minimum-norm fit when that matrix is
     numerically singular.  This rounds unlike ``lstsq``: with noise the kept rows
     match and beta agrees to about 1e-12 relative, but an exact fit's inlier
-    residuals are rounding noise, so its kept rows may not.
+    residuals are rounding noise, so its kept rows may not.  x or y whose largest
+    magnitude leaves [2^-500, 2^500] is fitted scaled by a power of two
+    (``_scaled``), so the fit is the same at any finite scale.
 
     Parameters
     ----------
@@ -247,7 +282,7 @@ def torrent(
             "fits will be rank deficient",
             stacklevel=2,
         )
-    x, y = problem.x, problem.y
+    x, y, ex, ey = _scaled(problem)
     active = np.ones(n, dtype=bool)
     r_prev = float(np.linalg.norm(y))
     converged = False
@@ -265,7 +300,10 @@ def torrent(
             break
         r_prev = r_new
     # r_new is the norm of beta's residuals on the returned active set
-    return RobustFit(beta, np.flatnonzero(active) + 1, iterations, r_new, converged, "Torrent")
+    return RobustFit(
+        _rescaled(beta, ey - ex), np.flatnonzero(active) + 1, iterations, _rescaled(r_new, ey),
+        converged, "Torrent",
+    )
 
 
 def _normal_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -292,7 +330,16 @@ def _all_combinations(n: int, size: int) -> np.ndarray:
     return sets
 
 
-_small_combinations = lru_cache(maxsize=16)(_all_combinations)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` copied onto an immutable buffer, so that no view of it can be made writable."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+
+
+# building the sets and bfs's row mask of them costs more than fitting them, so the
+# memo keeps (n, size) -> (sets, mask or None), least recently used first: 16 entries,
+# each array at most 1 MiB, so an enumeration of cap size never stays resident
+_memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
+_memo_lock = threading.Lock()
 
 
 def candidate_sets_all_of_size(
@@ -301,7 +348,8 @@ def candidate_sets_all_of_size(
     """All subsets of {1, ..., n} of the given size, in lexicographic order.
 
     Returns a read-only ``(C(n, size), size)`` integer array, one set per row.
-    ``n``, ``size`` and ``cap`` are counts (``check_count``).
+    ``n``, ``size`` and ``cap`` are counts (``check_count``).  A repeated request for
+    an array of at most 1 MiB returns the same array while it is among the last 16.
 
     Raises
     ------
@@ -313,10 +361,18 @@ def candidate_sets_all_of_size(
     if size > n:
         raise ValueError(f"size must lie in 1..{n}, got {size}")
     count = _enumeration_count(n, size, cap)
-    # building the array costs more than fitting it, so repeated requests are
-    # memoised, but only up to 1 MiB: a cap-sized enumeration never stays resident
-    small = count * size * np.dtype(np.intp).itemsize <= 1 << 20
-    return (_small_combinations if small else _all_combinations)(n, size)
+    if count * size * 8 > 1 << 20:
+        return _all_combinations(n, size)
+    with _memo_lock:
+        entry = _memo.pop((n, size), None)
+        if entry is None:
+            sets = _all_combinations(n, size)
+            mask = _frozen(_row_mask(sets, n)) if count * n * 8 <= 1 << 20 else None
+            entry = (_frozen(sets), mask)
+            if len(_memo) >= 16:
+                del _memo[next(iter(_memo))]
+        _memo[n, size] = entry
+    return entry[0]
 
 
 def _enumeration_count(n: int, size: int, cap) -> int:
@@ -372,11 +428,14 @@ def _row_mask(sets: np.ndarray, n: int) -> np.ndarray:
     return mask
 
 
-def _screen(moments: np.ndarray, sets: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _screen(
+    moments: np.ndarray, sets: np.ndarray, d: int, mask: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Bounds ``(score - slack, score + slack)`` on each set's ``_subset_errors`` score.
 
     ``moments`` is ``_moments(x, y)`` and ``sets`` the one (C, s) array of 1-based sets
-    that ``bfs`` takes.  The product of a chunk's ``_row_mask`` with the moments gives
+    that ``bfs`` takes; ``mask``, if given, is its whole ``_row_mask``, else each chunk's
+    is built.  The product of a chunk's ``_row_mask`` with the moments gives
     every set S its Gram matrix G, b = X_S^T y_S and ||y_S||^2 as direct sums, not
     downdates, so ``_singular`` keeps its per-set scale.  The score is
     ``(||y_S||^2 - b^T G^-1 b) / s``: one division for d = 1, ``_gram2``'s closed form
@@ -389,7 +448,9 @@ def _screen(moments: np.ndarray, sets: np.ndarray, d: int) -> tuple[np.ndarray, 
     step = max(1, _CHUNK_SETS * s // n)  # a mask chunk holds no more entries than a gathered one
     lo, hi = [], []
     for start in range(0, len(sets), step):
-        sums = moments.T @ _row_mask(sets[start : start + step], n).T  # a column per set
+        chunk = slice(start, start + step)
+        rows = _row_mask(sets[chunk], n) if mask is None else mask[chunk]
+        sums = moments.T @ rows.T  # a column per set
         yy = sums[-1]
         if d == 2:
             lam, singular, coef = _gram2(sums[:4], sums[4:6], s)
@@ -449,12 +510,18 @@ def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> 
     smallest upper bound can win; when more than one is left, those alone are
     rescored in the residual form (``_subset_errors``) and the tie rule picks
     among them, so the winner is the one scoring every set that way would give.
+    The memo's own array from ``candidate_sets_all_of_size(n, s)`` is screened
+    unchecked with its memoised mask; any other array, an equal copy included, is
+    checked and masked a chunk at a time.  x and y are scaled as in ``torrent``.
     """
-    n, d, x, y = problem.n, problem.d, problem.x, problem.y
-    sets = _index_sets(candidate_sets, "candidate set", 2, n)
+    n, d = problem.n, problem.d
+    x, y, ex, ey = _scaled(problem)
+    # the memo's own array for this n meets the index-set rule by construction
+    own = [entry for (m, _), entry in list(_memo.items()) if m == n and entry[0] is candidate_sets]
+    sets, mask = own[0] if own else (_index_sets(candidate_sets, "candidate set", 2, n), None)
     if not len(sets):
         raise ValueError("candidate_sets must be non-empty")
-    lo, hi = _screen(_moments(x, y), sets, d)
+    lo, hi = _screen(_moments(x, y), sets, d, mask)
     tau = 16 * _EPS * float(y @ y) / n
     near = np.flatnonzero(lo <= hi.min() + tau)
     if len(near) > 1:  # rescore every set the tie rule could pick, gathered a chunk at a time
@@ -462,7 +529,8 @@ def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> 
         errs = np.concatenate([_subset_errors(x, y, sets[part]) for part in parts])
         near = near[errs <= errs.min() + tau]
     winner = np.sort(sets[near[0] if len(near) else 0])  # none only if overflow made a NaN
-    return _fit_result(problem, _lstsq(x[winner - 1], y[winner - 1]), winner, "BFS")
+    beta = _lstsq(x[winner - 1], y[winner - 1])
+    return _fit_result(problem, _rescaled(beta, ey - ex), winner, "BFS")
 
 
 def eta_condition(

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deconfound.cli import load_experiment_spec, main
+from deconfound import SimConfig, generate
+from deconfound.cli import load_experiment_spec, main, write_series_csv
 
 REPO_SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -146,6 +147,24 @@ class TestFit:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: x and y must be finite (no NaN/Inf)\n"
+
+    def test_estimate_at_a_huge_scale_is_valid_json(self, tmp_path):
+        # at c = 1e200 the centered sums of squares overflowed, and R^2 was written as NaN
+        def strict(text):
+            def reject(constant):
+                raise ValueError(f"{constant} is not JSON")
+
+            return json.loads(text, parse_constant=reject)
+
+        docs = []
+        for c in (1.0, 1e200):
+            x, y, _ = generate(SimConfig(n=16, sigma_eta2=1.0, conf_prob=0.25, seed=29))
+            data, out = tmp_path / f"c{c:g}.csv", tmp_path / f"c{c:g}.json"
+            write_series_csv(data, np.arange(1, 17) / 16, c * x, c * y)
+            assert run_cli("fit", "--input", data, "--out", out) == 0
+            docs.append(strict(out.read_text()))
+        assert docs[1]["r_squared"] == pytest.approx(docs[0]["r_squared"], rel=1e-9)
+        assert docs[1]["beta"] == pytest.approx(docs[0]["beta"], rel=1e-9)
 
     def test_wrong_header_rejected(self, tmp_path):
         bad = tmp_path / "bad2.csv"

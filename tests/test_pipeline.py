@@ -1,6 +1,7 @@
 """End-to-end pipeline: estimation, exclusion reports, deconfounded fits."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ class TestDecorFit:
         scaled = decor_fit(x, c * y, DecorConfig())
         assert np.max(np.abs(scaled.beta - c * base.beta)) < 1e-8
         assert np.array_equal(scaled.excluded_frequencies, base.excluded_frequencies)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e160, 1e200])
+    def test_design_scale_gives_the_same_estimate(self, method, c):
+        # (c x, c y) has the estimate of (x, y): the same beta, rows and R^2, a path times c
+        x, y, _ = generate(SimConfig(n=16, sigma_eta2=1.0, conf_prob=0.25, seed=29))
+        base = decor_fit(x, y, DecorConfig(method=method))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = decor_fit(c * x, c * y, DecorConfig(method=method))
+        assert np.array_equal(scaled.inliers, base.inliers)
+        assert np.allclose(scaled.beta, base.beta, rtol=1e-9, atol=0)
+        assert scaled.r_squared == pytest.approx(base.r_squared, rel=1e-9)
+        assert scaled.residual_norm == pytest.approx(c * base.residual_norm, rel=1e-9)
+        assert np.allclose(scaled.fitted_time_domain, c * base.fitted_time_domain, rtol=1e-9)
 
     @pytest.mark.parametrize("method, n", [(Method.TORRENT, 48), (Method.BFS, 16)])
     def test_shift_along_x_shifts_beta(self, method, n):

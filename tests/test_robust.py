@@ -9,10 +9,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from deconfound import robust
+from deconfound import bench, robust
 from deconfound import (
+    DecorConfig,
     FeasibilityError,
+    Method,
     RegressionProblem,
+    SimConfig,
     bfs,
     candidate_sets_all_of_size,
     eta_condition,
@@ -435,22 +438,46 @@ class TestGram2:
 class TestDesignScale:
     """Torrent and BFS on (c x, c y) give the fit they give on (x, y)."""
 
-    @pytest.mark.parametrize("c", [1e-150, 1e-100, 1e60, 1e100, 1e150])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_scaled_design_gives_the_same_fit(self, d, c):
-        sets = candidate_sets_all_of_size(12, 9)
+    @staticmethod
+    def instances(d):
         for seed in range(4):
             rng = np.random.default_rng(1300 + 10 * d + seed)
             p, _, _ = planted_instance(rng, n=12, d=d, n_out=3, magnitude=6.0)
-            y = p.y + 0.2 * rng.normal(size=12)
-            base, scaled = RegressionProblem(p.x, y), RegressionProblem(c * p.x, c * y)
-            for method in (lambda q: torrent(q, 9), lambda q: bfs(q, sets)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    want, got = method(base), method(scaled)
-                assert np.array_equal(got.inliers, want.inliers), seed
-                assert got.iterations == want.iterations, seed
-                assert np.allclose(got.beta, want.beta, rtol=1e-9, atol=0), seed
+            yield p.x, p.y + 0.2 * rng.normal(size=12)
+
+    @staticmethod
+    def assert_same_fit(x, y, cx, cy):
+        """The fits of (cx x, cy y) are those of (x, y), with beta times cy / cx and the
+        residual norm times cy, under warnings as errors (no overflow, no underflow)."""
+        sets = candidate_sets_all_of_size(12, 9)
+        base, scaled = RegressionProblem(x, y), RegressionProblem(cx * x, cy * y)
+        for method in (lambda q: torrent(q, 9), lambda q: bfs(q, sets)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                want, got = method(base), method(scaled)
+            assert np.array_equal(got.inliers, want.inliers)
+            assert got.iterations == want.iterations
+            assert np.allclose(got.beta, want.beta * (cy / cx), rtol=1e-9, atol=0)
+            assert got.residual_norm == pytest.approx(want.residual_norm * cy, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "c", [1e-200, 1e-160, 1e-150, 1e-100, 1e60, 1e100, 1e150, 1e160, 1e200]
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scaled_design_gives_the_same_fit(self, d, c):
+        for x, y in self.instances(d):
+            self.assert_same_fit(x, y, c, c)
+
+    @pytest.mark.parametrize("top", [-501, -500, -499, 499, 500, 501])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_side_of_the_unscaled_range(self, d, top):
+        # x and y scaled by powers of two to a largest magnitude in [2^(top-1), 2^top):
+        # inside [2^-500, 2^500] they are fitted as given, outside they are rescaled
+        for x, y in self.instances(d):
+            cx, cy = (2.0 ** (top - math.frexp(np.abs(a).max())[1]) for a in (x, y))
+            exponents = RegressionProblem(cx * x, cy * y)._scale
+            assert exponents == (0, 0) if -500 < top <= 500 else 0 not in exponents
+            self.assert_same_fit(x, y, cx, cy)
 
 
 class TestBfs:
@@ -667,7 +694,175 @@ class TestBfsKernel:
         assert np.max(np.abs(ols(p, [3, 1, 2]) - 1.0)) < 1e-12
 
 
+def bfs_kernel_instances():
+    """``(problem, n, size)`` for the instances of ``TestBfsKernel``: noisy and planted ones,
+    exact fits, all-exact fits, nearly collinear columns and rank-deficient sets, d = 1-3."""
+    for d in (1, 2, 3):
+        for seed in range(6):
+            rng = np.random.default_rng(600 + 10 * d + seed)
+            p, _, _ = planted_instance(rng, n=11, d=d, n_out=3, magnitude=5.0)
+            yield RegressionProblem(p.x, p.y + 0.3 * rng.normal(size=11)), 11, 7
+        yield TestBfsKernel._exact_fit_instance(d), 10, 6
+        for seed in range(20):
+            x = np.random.default_rng(700 + seed).normal(size=(10, d))
+            yield RegressionProblem(x, x @ np.ones(d)), 10, 6
+        for seed in range(10):
+            rng = np.random.default_rng(760 + 10 * d + seed)
+            p, _, _ = planted_instance(rng, n=12, d=d, n_out=int(rng.integers(0, 4)))
+            if d > 1 and seed % 2:
+                x = p.x.copy()
+                x[:, -1] = x[:, 0] + 1e-6 * rng.normal(size=12)
+                p = RegressionProblem(x, x @ rng.normal(size=d))
+            yield p, 12, 9
+    for x in degenerate_designs(8):
+        yield RegressionProblem(x, np.arange(8.0) ** 2), 8, 5
+    x = np.random.default_rng(720).normal(size=(8, 2))
+    x[:5, 1] = 0.0
+    y = np.r_[2.0 * x[:5, 0], np.random.default_rng(721).normal(size=3)]
+    yield RegressionProblem(x, y), 8, 4
+    yield RegressionProblem(x, np.r_[y[:5], x[5:] @ [1.0, 3.0]]), 8, 3
+
+
+def table1_and_haar_bfs_calls():
+    """The (problem, candidate sets) of every ``bfs`` call that one cycle of the benchmark's
+    ``table1`` and ``haar_d2`` workloads makes at seed 1: 360 + 200 calls, each through
+    ``decor_fit`` and so on the memo's own array."""
+    calls, real = [], robust.bfs
+
+    def recorded(problem, candidate_sets):
+        calls.append((problem, candidate_sets))
+        return real(problem, candidate_sets)
+
+    table1 = (
+        DecorConfig(method=Method.OLS_BASELINE),
+        DecorConfig(method=Method.TORRENT, a=0.7),
+        DecorConfig(method=Method.BFS, a=0.7),
+    )
+    haar = tuple(DecorConfig(basis_kind="haar", method=c.method, a=c.a) for c in table1)
+    robust.bfs = recorded
+    try:
+        for seed_base in range(1000, 1004):
+            specs = [
+                bench.ExperimentSpec(
+                    sim=SimConfig(n=8, d=1, beta=3.0, sigma_eta2=1.0, conf_prob=0.25),
+                    n_grid=(8, 12, 16),
+                    methods=table1,
+                    replicates=30,
+                    seed_base=seed_base,
+                )
+            ]
+            specs += [
+                bench.ExperimentSpec(
+                    sim=SimConfig(n=n, d=2, basis_kind="haar", sigma_eta2=1.0),
+                    n_grid=(n,),
+                    methods=haar,
+                    replicates=replicates,
+                    seed_base=seed_base,
+                )
+                for n, replicates in ((8, 40), (16, 10))
+            ]
+            for spec in specs:
+                bench.run_experiment(spec)
+    finally:
+        robust.bfs = real
+    return calls
+
+
+class TestBfsMemo:
+    """``bfs`` on the memo's own array (checked once, screened with the memoised mask)
+    against an equal writable copy (checked, masked a chunk at a time) and the residual kernel."""
+
+    @staticmethod
+    def assert_same_fit(p, sets):
+        copy = np.array(sets)
+        assert copy.flags.writeable and copy is not sets
+        memo, copied = bfs(p, sets), bfs(p, copy)
+        assert np.array_equal(memo.inliers, copied.inliers)
+        assert memo.beta.tobytes() == copied.beta.tobytes()
+        assert list(memo.inliers) == list(residual_kernel_winner(p, copy))
+
+    def test_bfs_kernel_instances(self):
+        for p, n, size in bfs_kernel_instances():
+            self.assert_same_fit(p, candidate_sets_all_of_size(n, size))
+
+    def test_table1_and_haar_d2_cycle(self):
+        calls = table1_and_haar_bfs_calls()
+        assert len(calls) == 560
+        for p, sets in calls:
+            n, size = p.n, sets.shape[1]
+            assert sets is candidate_sets_all_of_size(n, size)
+            assert robust._memo[n, size][1] is not None  # screened with the memoised mask
+            self.assert_same_fit(p, sets)
+
+    def test_memoised_mask_is_the_row_mask_of_its_sets(self):
+        for n, size in ((10, 6), (11, 7), (12, 9), (8, 3), (16, 12), (16, 4)):
+            candidate_sets_all_of_size(n, size)
+        for (n, size), (sets, mask) in robust._memo.items():
+            assert sets.shape == (math.comb(n, size), size)
+            assert mask is None or np.array_equal(mask, robust._row_mask(sets, n))
+
+    def test_other_arrays_of_the_memo_shape_take_their_own_mask(self):
+        # every 6 of rows {1, 3, 4, 5, 6, 8, 9, 10} fit exactly, so the order decides
+        p = TestBfsKernel._exact_fit_instance(2)
+        sets = candidate_sets_all_of_size(10, 6)
+        rng = np.random.default_rng(5)
+        for other in (sets[::-1], sets[rng.permutation(len(sets))], np.roll(sets, 7, axis=0)):
+            fit = bfs(p, other)
+            assert list(fit.inliers) == list(residual_kernel_winner(p, other))
+            assert list(fit.inliers) == list(listed_bfs_oracle(p.x, p.y, other)[0])
+        assert list(bfs(p, sets[::-1]).inliers) == [4, 5, 6, 8, 9, 10]
+
+    def test_memo_array_of_another_n_takes_its_own_mask(self):
+        rng = np.random.default_rng(6)
+        p, _, _ = planted_instance(rng, n=12, d=2, n_out=3)
+        sets = candidate_sets_all_of_size(10, 6)  # rows 1..10 of a 12-row problem
+        self.assert_same_fit(p, sets)
+        assert list(bfs(p, sets).inliers) == list(listed_bfs_oracle(p.x, p.y, sets)[0])
+
+    def test_bad_arrays_of_the_memo_shape_rejected(self):
+        p = RegressionProblem(np.arange(1.0, 7.0), np.arange(1.0, 7.0))
+        sets = candidate_sets_all_of_size(6, 3)
+        for entry, message in ((0, "lie in 1..6"), (7, "lie in 1..6"), (2, "repeat an index")):
+            bad = np.array(sets)
+            bad[0, 0] = entry  # the first set is (1, 2, 3)
+            with pytest.raises(ValueError, match=message):
+                bfs(p, bad)
+        with pytest.raises(ValueError, match="lie in 1..5"):
+            bfs(RegressionProblem(np.ones(5), np.ones(5)), sets)
+
+    def test_a_mask_too_large_to_memoise_is_built_per_chunk(self):
+        # C(200, 2) sets take 0.3 MiB, their mask 30 MiB: the sets are memoised without it
+        sets = candidate_sets_all_of_size(200, 2)
+        assert sets is candidate_sets_all_of_size(200, 2)
+        assert robust._memo[200, 2][1] is None
+        rng = np.random.default_rng(7)
+        p = RegressionProblem(rng.normal(size=200), rng.normal(size=200))
+        self.assert_same_fit(p, sets)
+
+
 class TestCandidateSets:
+    def test_memoised_arrays_cannot_be_made_writable(self):
+        sets = candidate_sets_all_of_size(6, 3)
+        mask = robust._memo[6, 3][1]
+        for array in (sets, mask, sets.base, mask.base):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+        assert candidate_sets_all_of_size(6, 3).tolist() == [
+            list(c) for c in combinations(range(1, 7), 3)
+        ]
+
+    def test_memo_keeps_sixteen_entries_least_recently_used_first(self):
+        robust._memo.clear()
+        kept = candidate_sets_all_of_size(5, 2)
+        for n in range(6, 22):
+            candidate_sets_all_of_size(n, 2)
+            if n == 12:
+                assert candidate_sets_all_of_size(5, 2) is kept  # used again: kept longer
+        assert len(robust._memo) == 16
+        assert (5, 2) in robust._memo and (6, 2) not in robust._memo
+        assert candidate_sets_all_of_size(5, 2) is kept
+
     def test_readonly_lexicographic_array(self):
         for n, size in ((7, 3), (18, 9), (5, 5)):  # (18, 9) is too large to memoise
             sets = candidate_sets_all_of_size(n, size)
