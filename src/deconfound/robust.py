@@ -258,13 +258,11 @@ def torrent(
     longer strictly decreases; ``converged`` is False only if ``max_iter``
     refits were exhausted first.
 
-    Each refit solves the normal equations (beta = Sxy / Sxx for one column, the
-    closed form of the 2 x 2 Gram matrix for two, ``eigh`` of the Gram matrix for
-    more), or calls ``lstsq`` for the minimum-norm fit when that matrix is
-    numerically singular.  This rounds unlike ``lstsq``: with noise the kept rows
-    match and beta agrees to about 1e-12 relative, but an exact fit's inlier
-    residuals are rounding noise, so its kept rows may not.  x or y whose largest
-    magnitude leaves [2^-500, 2^500] is fitted scaled by a power of two
+    Each refit solves the normal equations by ``_solve``, or calls ``lstsq`` for the
+    minimum-norm fit when their Gram matrix is numerically singular.  This rounds unlike
+    ``lstsq``: with noise the kept rows match and beta agrees to about 1e-12 relative, but
+    an exact fit's inlier residuals are rounding noise, so its kept rows may not.  x or y
+    whose largest magnitude leaves [2^-500, 2^500] is fitted scaled by a power of two
     (``_scaled``), so the fit is the same at any finite scale.
 
     Parameters
@@ -289,7 +287,10 @@ def torrent(
     iterations = 0
     while iterations < max_iter:
         iterations += 1
-        beta = _normal_fit(x[active], y[active])
+        xa, ya = x[active], y[active]
+        _, singular, beta = _solve((xa.T @ xa).ravel(), xa.T @ ya, len(ya))
+        if singular:
+            beta = _lstsq(xa, ya)
         v = np.abs(y - x @ beta)
         new_active = _smallest(v, a_count)
         r_new = float(np.linalg.norm(v[new_active]))
@@ -304,23 +305,6 @@ def torrent(
         _rescaled(beta, ey - ex), np.flatnonzero(active) + 1, iterations, _rescaled(r_new, ey),
         converged, "Torrent",
     )
-
-
-def _normal_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares by the normal equations, or ``_lstsq`` when ``_singular`` flags them.
-
-    Solved by one division for d = 1, by ``_gram2``'s closed form for d = 2, else by ``eigh``."""
-    s, d = x.shape
-    gram = x.T @ x
-    if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
-        return _lstsq(x, y) if _singular(gram, s, d)[0] else (x.T @ y) / gram[0]
-    if d == 2:
-        _, singular, coef = _gram2(gram.ravel().tolist(), (x.T @ y).tolist(), s)
-        return _lstsq(x, y) if singular else np.array(coef)
-    lam, vec = np.linalg.eigh(gram)
-    if _singular(lam, s, d):
-        return _lstsq(x, y)
-    return vec @ ((vec.T @ (x.T @ y)) / lam)
 
 
 def _all_combinations(n: int, size: int) -> np.ndarray:
@@ -394,22 +378,35 @@ def _singular(lam: np.ndarray, s: int, d: int) -> np.ndarray:
     return lam[..., -1] * max(s, d) * _EPS >= lam[..., 0]
 
 
-def _gram2(gram, b, s: int):
-    """Eigenvalues, ``_singular`` flag and G^-1 b of a symmetric 2 x 2 G, in closed form.
+def _solve(gram, b, s: int):
+    """Eigenvalues, ``_singular`` flag and G^-1 b of the normal equations G beta = b.
 
-    ``gram`` is G row by row and ``b`` the right-hand side, floats for one refit or arrays
-    with one entry per set; ``lam`` ascends on its last axis, as from ``eigh``.  G and b are
-    first divided by lam_max, so no product leaves float range at any design scale, and a
-    singular G gets a finite but meaningless G^-1 b."""
-    (g11, g12, _, g22), (b1, b2) = gram, b
-    lam_max = (g11 + g22) / 2 + np.hypot((g11 - g22) / 2, g12)
-    scale = lam_max + (lam_max == 0)  # an all-zero G stays zero, and singular
-    a11, a12, a22, c1, c2 = g11 / scale, g12 / scale, g22 / scale, b1 / scale, b2 / scale
-    ratio = a11 * a22 - a12 * a12
-    lam = np.array([ratio * lam_max, lam_max]).T
-    singular = _singular(lam, s, 2)
-    det = ratio + singular
-    return lam, singular, ((a22 * c1 - a12 * c2) / det, (a11 * c2 - a12 * c1) / det)
+    ``gram`` is the symmetric d x d G row by row and ``b`` the right-hand side: 1-d arrays
+    for one system (a ``torrent`` refit), or with one column per set (a ``_screen`` chunk);
+    ``lam`` ascends on its last axis, as from ``eigh``.  The one per-d rule: one division for
+    d = 1, the closed form of G for d = 2 (no LAPACK call), ``eigh`` beyond.  The closed form
+    first divides G and b by lam_max, so no product leaves float range at any design scale.
+    A singular G gets a finite but meaningless G^-1 b."""
+    d = len(b)
+    if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
+        lam = gram.T
+        singular = _singular(lam, s, 1)
+        return lam, singular, b / (gram[0] + singular)
+    if d == 2:  # one system's entries as Python floats, which compute faster than numpy's
+        (g11, g12, _, g22), (b1, b2) = (gram, b) if gram.ndim > 1 else (gram.tolist(), b.tolist())
+        lam_max = (g11 + g22) / 2 + np.hypot((g11 - g22) / 2, g12)
+        scale = lam_max + (lam_max == 0)  # an all-zero G stays zero, and singular
+        a11, a12, a22, c1, c2 = g11 / scale, g12 / scale, g22 / scale, b1 / scale, b2 / scale
+        ratio = a11 * a22 - a12 * a12
+        lam = np.array([ratio * lam_max, lam_max]).T
+        singular = _singular(lam, s, 2)
+        det = ratio + singular
+        coef = np.array([(a22 * c1 - a12 * c2) / det, (a11 * c2 - a12 * c1) / det])
+        return lam, singular, coef
+    lam, vec = np.linalg.eigh(np.moveaxis(gram, 0, -1).reshape(*gram.shape[1:], d, d))
+    singular = _singular(lam, s, d)
+    proj = np.einsum("...ji,j...->...i", vec, b) / np.where(singular[..., None], 1.0, lam)
+    return lam, singular, np.einsum("...ij,...j->i...", vec, proj)
 
 
 def _moments(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -438,11 +435,10 @@ def _screen(
     is built.  The product of a chunk's ``_row_mask`` with the moments gives
     every set S its Gram matrix G, b = X_S^T y_S and ||y_S||^2 as direct sums, not
     downdates, so ``_singular`` keeps its per-set scale.  The score is
-    ``(||y_S||^2 - b^T G^-1 b) / s``: one division for d = 1, ``_gram2``'s closed form
-    for d = 2, ``eigh`` beyond.  That form cancels: over d = 1-3, ill-conditioned
-    designs included, it was measured within about 7 * eps * cond(G) * ||y_S||^2 / s
-    of the residual form, and the slack is 16 times that scale.  A set that
-    ``_singular`` flags gets bounds of -inf and inf.
+    ``(||y_S||^2 - b^T G^-1 b) / s``, with G^-1 b from ``_solve``.  That form cancels: over
+    d = 1-3, ill-conditioned designs included, it was measured within about
+    7 * eps * cond(G) * ||y_S||^2 / s of the residual form, and the slack is 16 times that
+    scale.  A set that ``_singular`` flags gets bounds of -inf and inf.
     """
     n, s = moments.shape[0], sets.shape[1]
     step = max(1, _CHUNK_SETS * s // n)  # a mask chunk holds no more entries than a gathered one
@@ -451,20 +447,13 @@ def _screen(
         chunk = slice(start, start + step)
         rows = _row_mask(sets[chunk], n) if mask is None else mask[chunk]
         sums = moments.T @ rows.T  # a column per set
-        yy = sums[-1]
-        if d == 2:
-            lam, singular, coef = _gram2(sums[:4], sums[4:6], s)
-            score = (yy - sums[4] * coef[0] - sums[5] * coef[1]) / s
-            lam[singular] = 1.0
-        else:  # b^T G^-1 b = sum of (v_i^T b)^2 / lam_i over the eigenpairs
-            if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
-                lam, proj = sums[:1].T, sums[1:2].T
-            else:
-                lam, vec = np.linalg.eigh(sums[: d * d].T.reshape(-1, d, d))
-                proj = np.einsum("cji,jc->ci", vec, sums[d * d : -1])
-            singular = _singular(lam, s, d)
-            lam[singular] = 1.0
-            score = (yy - np.einsum("ci,ci->c", proj, proj / lam)) / s
+        yy, b = sums[-1], sums[d * d : -1]
+        lam, singular, coef = _solve(sums[: d * d], b, s)
+        score = yy
+        for b_i, c_i in zip(b, coef):  # yy - b_1 c_1 - b_2 c_2 - ..., in that order
+            score = score - b_i * c_i
+        score /= s
+        lam[singular] = 1.0
         slack = (16 * _EPS / s) * yy * (lam[:, -1] / lam[:, 0])
         slack[singular] = np.inf
         lo.append(score - slack)
@@ -555,8 +544,10 @@ def eta_condition(
     _enumeration_count(n, a_count, cap)
     is_inlier = np.zeros(n, dtype=bool)
     is_inlier[_index_sets(inliers, "inlier", n=n) - 1] = True
-    # X_S^T X_S and X_V^T X_V are sums of x_k x_k^T over the rows of S and of V = S xor I
-    outer = _moments(problem.x, problem.y)[:, : d * d]
+    # X_S^T X_S and X_V^T X_V are sums of x_k x_k^T over the rows of S and of V = S xor I,
+    # taken at the fitting scale: the ratio is the same at any scale of x, the sums are not
+    x, y, _, _ = _scaled(problem)
+    outer = _moments(x, y)[:, : d * d]
     subsets = combinations(range(1, n + 1), a_count)  # streamed _CHUNK_SETS at a time
     worst = 0.0
     while True:

@@ -10,8 +10,10 @@ coefficients are zeroed off the confounded index set G.  Every process, the
 confounder and each of the d covariate-noise columns eps_X, is drawn as basis
 coefficients, and each process class draws its own: a band-limited process
 draws them directly, an Ornstein-Uhlenbeck process samples its paths and
-transforms them in one call.  A process is checked when it is constructed, so
-its draw checks nothing again.  One inverse transform of the (n, 1 + d)
+transforms them in one call.  A process is checked when it is constructed,
+except for its band support against n (``check_support_fits``): n is known only
+when a process is drawn, so each draw checks that, and ``ExperimentSpec`` checks
+it at its smallest grid size.  One inverse transform of the (n, 1 + d)
 coefficient array then gives U and eps_X in the time domain.
 
 Randomness flows through a counter-based (Philox) generator so that replicate
@@ -146,8 +148,14 @@ class SimConfig:
         if not (self.dense_u_noise_std >= 0 and math.isfinite(self.dense_u_noise_std)):
             raise ConfigurationError("dense_u_noise_std must be non-negative")
         object.__setattr__(self, "basis_kind", BasisKind(self.basis_kind))
-        if not isinstance(self.beta, (int, float)):
-            object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        if not isinstance(self.beta, (int, float)) or isinstance(self.beta, bool):
+            # a str, bytes or bool converts to floats, so it is rejected, alone or in a sequence
+            beta = (self.beta,) if isinstance(self.beta, (str, bytes, bool)) else tuple(self.beta)
+            if any(isinstance(b, (str, bytes, bool, np.bool_)) for b in beta):
+                raise ConfigurationError(
+                    f"beta must be a number or a sequence of numbers, got {self.beta!r}"
+                )
+            object.__setattr__(self, "beta", tuple(float(b) for b in beta))
         if not np.isfinite(self.beta_vector()).all():
             raise ConfigurationError(f"beta must be finite, got {self.beta}")
 

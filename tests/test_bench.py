@@ -179,6 +179,10 @@ class TestCsvOutput:
             first = fh.readline().strip()
         assert first == RECORD_CSV_HEADER
 
+    def test_grid_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="^n_grid must be non-empty$"):
+            small_spec(n_grid=())
+
     def test_grid_must_be_sorted(self):
         with pytest.raises(ValueError):
             small_spec(n_grid=(16, 8))

@@ -171,6 +171,14 @@ class TestFit:
         bad.write_text("a,b\n1,2\n")
         assert run_cli("fit", "--input", bad) == 2
 
+    def test_misnamed_covariate_column_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x_2,y\n1,2\n")
+        assert run_cli("fit", "--input", bad) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: covariate columns must be named x_1, got x_2\n"
+        )
+
 
 class TestDeconfound:
     def test_report_bundle(self, tmp_path):

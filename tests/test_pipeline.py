@@ -223,6 +223,13 @@ class TestDecorFit:
         with pytest.raises(ValueError, match="finite"):
             decor_fit(x, np.arange(n, dtype=float), DecorConfig(basis_kind=basis_kind))
 
+    @pytest.mark.parametrize("shape", [(0, 1), (4, 0), (0,)])
+    @pytest.mark.parametrize("entry", [decor_fit, RegressionProblem], ids=["decor_fit", "problem"])
+    def test_empty_design_rejected(self, entry, shape):
+        x = np.ones(shape)
+        with pytest.raises(ValueError, match=r"^x must be a nonempty 2-d matrix, got shape \("):
+            entry(x, np.ones(len(x)))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one entry per row"):
             decor_fit(np.ones(4), np.ones(5))

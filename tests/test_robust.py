@@ -89,13 +89,12 @@ def lstsq_argsort_torrent(p, a, max_iter=100):
     return beta, active, max_iter, False
 
 
-def eigh_normal_fit(x, y):
-    """Torrent's refit by ``eigh`` of the Gram matrix, at every d, with its ``lstsq`` fallback."""
-    s, d = x.shape
-    lam, vec = np.linalg.eigh(x.T @ x)
-    if robust._singular(lam, s, d):
-        return np.linalg.lstsq(x, y, rcond=None)[0]
-    return vec @ ((vec.T @ (x.T @ y)) / lam)
+def eigh_solve(gram, b, s):
+    """``robust._solve`` of one system by ``eigh`` of the Gram matrix, at every d."""
+    d = len(b)
+    lam, vec = np.linalg.eigh(np.reshape(gram, (d, d)))
+    singular = robust._singular(lam, s, d)
+    return lam, singular, vec @ ((vec.T @ b) / np.where(singular, 1.0, lam))
 
 
 def degenerate_designs(n):
@@ -388,7 +387,7 @@ class TestTorrentKernel:
 
 
 class TestGram2:
-    """The closed-form 2 x 2 solve against eigh, and Torrent's d = 2 refit against eigh's."""
+    """``_solve``'s closed form for d = 2 against eigh, and Torrent's d = 2 refit against eigh's."""
 
     @staticmethod
     def _designs(rng, s, count):
@@ -406,7 +405,7 @@ class TestGram2:
         xs = np.array(list(self._designs(rng, 12, 600)))
         gram = np.swapaxes(xs, 1, 2) @ xs
         b = np.einsum("csi,cs->ci", xs, rng.normal(size=(600, 12)))
-        lam, singular, coef = robust._gram2(gram.reshape(-1, 4).T, b.T, 12)
+        lam, singular, coef = robust._solve(gram.reshape(-1, 4).T, b.T, 12)
         ref = np.linalg.eigvalsh(gram)
         assert np.all(np.abs(lam - ref) <= 4 * np.finfo(float).eps * ref[:, -1:])
         assert np.array_equal(singular, robust._singular(lam, 12, 2))
@@ -417,9 +416,9 @@ class TestGram2:
         well = ref[:, 0] > 1e-4 * ref[:, 1]
         solved = np.linalg.solve(gram[well], b[well][..., None])[..., 0]
         assert np.allclose(np.transpose(coef)[well], solved, rtol=1e-10, atol=0)
-        # floats in, the same numbers out
+        # one system in, as a torrent refit gives it, the same numbers out
         for k in rng.choice(600, size=50, replace=False):
-            one = robust._gram2(gram[k].ravel().tolist(), b[k].tolist(), 12)
+            one = robust._solve(gram[k].ravel(), b[k], 12)
             assert np.array_equal(one[0], lam[k]) and one[1] == singular[k]
             assert [float(c) for c in one[2]] == [coef[0][k], coef[1][k]]
 
@@ -427,7 +426,7 @@ class TestGram2:
         rng = np.random.default_rng(1200)
         cases = [TestTorrentKernel._noisy_instance(rng, 2) for _ in range(300)]
         fits = [torrent(p, a) for p, a in cases]
-        monkeypatch.setattr(robust, "_normal_fit", eigh_normal_fit)
+        monkeypatch.setattr(robust, "_solve", eigh_solve)
         for (p, a), fit in zip(cases, fits):
             ref = torrent(p, a)
             assert np.array_equal(fit.inliers, ref.inliers)
@@ -871,6 +870,10 @@ class TestCandidateSets:
         assert candidate_sets_all_of_size(7, 3) is candidate_sets_all_of_size(7, 3)
         assert candidate_sets_all_of_size(18, 9) is not candidate_sets_all_of_size(18, 9)
 
+    def test_size_above_n_rejected(self):
+        with pytest.raises(ValueError, match=r"^size must lie in 1\.\.3, got 5$"):
+            candidate_sets_all_of_size(3, 5)
+
     def test_three_choose_two(self):
         assert candidate_sets_all_of_size(3, 2).tolist() == [[1, 2], [1, 3], [2, 3]]
 
@@ -918,6 +921,19 @@ class TestEtaCondition:
             inliers = np.sort(rng.choice(np.arange(1, n + 1), size=6, replace=False))
             got, ref = eta_condition(p, a, inliers), eta_condition_loop_reference(p, a, inliers)
             assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_same_value_at_any_design_scale(self, d):
+        # summed unscaled, the Gram matrices of c x underflowed to inf or overflowed to 0.0
+        p, _, outliers = planted_instance(np.random.default_rng(0), n=10, d=d, n_out=2)
+        inliers = np.setdiff1d(np.arange(1, 11), outliers)
+        want = eta_condition(p, 8, inliers)
+        assert 0.0 < want < float("inf")
+        for c in (1e-200, 1e-170, 1e160, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = eta_condition(RegressionProblem(c * p.x, c * p.y), 8, inliers)
+            assert got == pytest.approx(want, rel=1e-12), c
 
     def test_subsets_are_streamed_not_stored(self, monkeypatch):
         # peak memory stays far below one (C(n, a), a) array of the subsets

@@ -350,6 +350,13 @@ class TestGenerate:
             ("horizon", math.nan, "horizon must be positive, got nan"),
             ("beta", math.nan, "beta must be finite, got nan"),
             ("beta", (1.0, math.inf), "beta must be finite, got (1.0, inf)"),
+            ("beta", "12", "beta must be a number or a sequence of numbers, got '12'"),
+            ("beta", b"3", "beta must be a number or a sequence of numbers, got b'3'"),
+            ("beta", True, "beta must be a number or a sequence of numbers, got True"),
+            (
+                "beta", [True, 2.0],
+                "beta must be a number or a sequence of numbers, got [True, 2.0]",
+            ),
         ],
     )
     def test_non_finite_values_rejected(self, field, value, message):
