@@ -1,5 +1,5 @@
-"""Exception types, and the one rule for a size or a count and the one for a scale or a
-tolerance, shared across the package."""
+"""Exception types, and the one test for a real number, the one rule for a size or a count
+and the one for a scale or a tolerance, shared across the package."""
 
 import math
 import numbers
@@ -13,16 +13,28 @@ class FeasibilityError(RuntimeError):
     """A requested computation is combinatorially infeasible (e.g. too many candidate sets)."""
 
 
+def is_real(value) -> bool:
+    """The one test for a real number: a Python or numpy real that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_real(name: str, value) -> None:
+    """``ConfigurationError`` unless ``value`` is a real number (``is_real``); the caller
+    checks its range."""
+    if not is_real(value):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+
+
 def check_count(name: str, value, low: int = 1) -> int:
     """``value`` as an ``int`` of at least ``low``: the one rule for a size or a count.
 
     Python and numpy integers pass, and whole-number floats such as ``8.0`` convert; a
     bool, any other float, NaN, infinity and a non-number raise ``ConfigurationError``.
     """
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer()  # false for NaN and inf
+    integral = is_real(value) and (
+        isinstance(value, numbers.Integral) or float(value).is_integer()  # false for NaN and inf
     )
-    if isinstance(value, bool) or not integral:
+    if not integral:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ConfigurationError(f"{name} must be >= {low}")
@@ -30,6 +42,8 @@ def check_count(name: str, value, low: int = 1) -> int:
 
 
 def check_positive(name: str, value: float) -> None:
-    """The one rule for a scale or a tolerance: positive and finite, else ``ConfigurationError``."""
+    """The one rule for a scale or a tolerance: a real number, positive and finite, else
+    ``ConfigurationError``."""
+    check_real(name, value)
     if not (value > 0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be positive, got {value}")

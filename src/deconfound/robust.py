@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FeasibilityError, check_count
+from .errors import FeasibilityError, check_count, is_real
 
 SUBSET_ENUMERATION_CAP = 10_000_000
 _CHUNK_SETS = 4096  # candidate sets fitted per batch; bounds the working memory
@@ -230,7 +230,7 @@ def resolve_count(a: float | int, n: int) -> int:
     converted as ``ceil(a * n)`` exactly from the decimal ``a`` prints as: 0.55
     of 100 is 55.  Anything else (a bool, a string, a ``Decimal``) raises ``ValueError``.
     """
-    if isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real):
+    if not is_real(a):
         raise ValueError(f"threshold must be a count or a fraction, not {type(a).__name__}: {a!r}")
     if isinstance(a, numbers.Integral) or (
         isinstance(a, (float, np.floating)) and a > 1 and float(a).is_integer()
@@ -428,7 +428,7 @@ def _row_mask(sets: np.ndarray, n: int) -> np.ndarray:
 def _screen(
     moments: np.ndarray, sets: np.ndarray, d: int, mask: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``(score - slack, score + slack)`` on each set's ``_subset_errors`` score.
+    """Bounds ``(score - slack, score + slack)`` on each set's ``bfs`` score: its ``ols`` fit's.
 
     ``moments`` is ``_moments(x, y)`` and ``sets`` the one (C, s) array of 1-based sets
     that ``bfs`` takes; ``mask``, if given, is its whole ``_row_mask``, else each chunk's
@@ -437,8 +437,8 @@ def _screen(
     downdates, so ``_singular`` keeps its per-set scale.  The score is
     ``(||y_S||^2 - b^T G^-1 b) / s``, with G^-1 b from ``_solve``.  That form cancels: over
     d = 1-3, ill-conditioned designs included, it was measured within about
-    7 * eps * cond(G) * ||y_S||^2 / s of the residual form, and the slack is 16 times that
-    scale.  A set that ``_singular`` flags gets bounds of -inf and inf.
+    7 * eps * cond(G) * ||y_S||^2 / s of the residual of the set's ``lstsq`` fit, and the
+    slack is 16 times that scale.  A set that ``_singular`` flags gets bounds of -inf and inf.
     """
     n, s = moments.shape[0], sets.shape[1]
     step = max(1, _CHUNK_SETS * s // n)  # a mask chunk holds no more entries than a gathered one
@@ -461,27 +461,6 @@ def _screen(
     return np.concatenate(lo), np.concatenate(hi)
 
 
-def _subset_errors(x: np.ndarray, y: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Mean squared residual of the least-squares fit on each row set of ``sets``.
-
-    The residual form, which ``bfs``'s tie rule is defined on: ``bfs`` calls it only
-    for the near-tied sets that ``_screen`` cannot tell apart, a chunk at a time.
-    ``sets`` is a (C, s) array of 1-based rows, all gathered and fitted in one batch.
-    """
-    s, d = sets.shape[1], x.shape[1]
-    rows = sets - 1
-    xs, ys = x[rows], y[rows]
-    lam, vec = np.linalg.eigh(np.swapaxes(xs, 1, 2) @ xs)
-    singular = _singular(lam, s, d)
-    lam[singular] = 1.0  # refitted by _lstsq below
-    proj = np.einsum("cji,cj->ci", vec, np.einsum("csi,cs->ci", xs, ys)) / lam
-    coef = np.einsum("cij,cj->ci", vec, proj)
-    for k in np.flatnonzero(singular):
-        coef[k] = _lstsq(xs[k], ys[k])
-    resid = ys - np.einsum("csi,ci->cs", xs, coef)
-    return np.einsum("cs,cs->c", resid, resid) / s
-
-
 def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> RobustFit:
     """Exhaustive search: fit each candidate inlier set, keep the best.
 
@@ -496,9 +475,10 @@ def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> 
 
     Every set is first screened from its sums (``_screen``), which bounds its
     error.  Only the sets whose lower bound is within the tie tolerance of the
-    smallest upper bound can win; when more than one is left, those alone are
-    rescored in the residual form (``_subset_errors``) and the tie rule picks
-    among them, so the winner is the one scoring every set that way would give.
+    smallest upper bound can win.  Those alone are fitted, one by one in iteration
+    order, by ``ols``'s ``lstsq`` and scored by their residuals; the tie rule picks
+    among these fits, and ``bfs`` returns the one it picked.  Errors are >= 0, so a
+    first set within the tolerance of 0 wins at once and no other set is fitted.
     The memo's own array from ``candidate_sets_all_of_size(n, s)`` is screened
     unchecked with its memoised mask; any other array, an equal copy included, is
     checked and masked a chunk at a time.  x and y are scaled as in ``torrent``.
@@ -513,13 +493,18 @@ def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> 
     lo, hi = _screen(_moments(x, y), sets, d, mask)
     tau = 16 * _EPS * float(y @ y) / n
     near = np.flatnonzero(lo <= hi.min() + tau)
-    if len(near) > 1:  # rescore every set the tie rule could pick, gathered a chunk at a time
-        parts = [near[i : i + _CHUNK_SETS] for i in range(0, len(near), _CHUNK_SETS)]
-        errs = np.concatenate([_subset_errors(x, y, sets[part]) for part in parts])
-        near = near[errs <= errs.min() + tau]
-    winner = np.sort(sets[near[0] if len(near) else 0])  # none only if overflow made a NaN
-    beta = _lstsq(x[winner - 1], y[winner - 1])
-    return _fit_result(problem, _rescaled(beta, ey - ex), winner, "BFS")
+    fits = []  # (score, winner, beta, residual norm) of each set the tie rule could pick
+    for k in near if len(near) else [0]:  # none only if overflow made a NaN
+        winner = np.sort(sets[k])
+        xs, ys = x[winner - 1], y[winner - 1]
+        beta = _lstsq(xs, ys)
+        norm = float(np.linalg.norm(ys - xs @ beta))
+        fits.append((norm * norm / len(winner), winner, beta, norm))
+        if fits[0][0] <= tau:  # scores are >= 0, so the first set within tau of 0 wins
+            break
+    best = min(score for score, *_ in fits)
+    _, winner, beta, norm = next(fit for fit in fits if fit[0] <= best + tau)
+    return RobustFit(_rescaled(beta, ey - ex), winner, 0, _rescaled(norm, ey), True, "BFS")
 
 
 def eta_condition(

@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .basis import BasisKind, BasisMatrix, build_basis, inverse_transform, transform
-from .errors import ConfigurationError, check_count, check_positive
+from .errors import ConfigurationError, check_count, check_positive, check_real, is_real
 from .robust import _index_sets
 
 
@@ -43,6 +43,7 @@ class OUProcess:
 
     def __post_init__(self):
         check_positive("OU sigma", self.sigma)
+        check_real("OU drift", self.drift)
         if not (self.drift < 0 and math.isfinite(self.drift)):
             raise ConfigurationError(
                 f"OU drift must be negative (mean reversion), got {self.drift}"
@@ -137,6 +138,8 @@ class SimConfig:
             if not isinstance(process, ProcessKind):
                 raise ConfigurationError(f"unknown process kind: {process!r}")
         check_positive("horizon", self.horizon)
+        for name in "conf_prob", "sigma_eta2", "dense_u_noise_std":
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.conf_prob <= 1.0:
             raise ConfigurationError(
                 f"conf_prob must lie in [0, 1], got {self.conf_prob}"
@@ -148,10 +151,13 @@ class SimConfig:
         if not (self.dense_u_noise_std >= 0 and math.isfinite(self.dense_u_noise_std)):
             raise ConfigurationError("dense_u_noise_std must be non-negative")
         object.__setattr__(self, "basis_kind", BasisKind(self.basis_kind))
-        if not isinstance(self.beta, (int, float)) or isinstance(self.beta, bool):
-            # a str, bytes or bool converts to floats, so it is rejected, alone or in a sequence
-            beta = (self.beta,) if isinstance(self.beta, (str, bytes, bool)) else tuple(self.beta)
-            if any(isinstance(b, (str, bytes, bool, np.bool_)) for b in beta):
+        if is_real(self.beta):
+            object.__setattr__(self, "beta", float(self.beta))
+        else:
+            # a str or bytes is one value, not a sequence: bytes would read as their codes
+            one = isinstance(self.beta, (str, bytes)) or not np.iterable(self.beta)
+            beta = (self.beta,) if one else tuple(self.beta)
+            if not all(map(is_real, beta)):
                 raise ConfigurationError(
                     f"beta must be a number or a sequence of numbers, got {self.beta!r}"
                 )
@@ -160,8 +166,8 @@ class SimConfig:
             raise ConfigurationError(f"beta must be finite, got {self.beta}")
 
     def beta_vector(self) -> np.ndarray:
-        if isinstance(self.beta, (int, float)):
-            return np.full(self.d, float(self.beta))
+        if isinstance(self.beta, float):
+            return np.full(self.d, self.beta)
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (self.d,):
             raise ConfigurationError(

@@ -444,6 +444,47 @@ class TestToleranceRule:
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# every real-valued field, checked by the one test for a real number (``is_real``) before
+# its range; each call takes the value under test
+REAL_FIELDS = {
+    "sigma_eta2": lambda v: SimConfig(n=8, sigma_eta2=v),
+    "conf_prob": lambda v: SimConfig(n=8, conf_prob=v),
+    "horizon": lambda v: SimConfig(n=8, horizon=v),
+    "dense_u_noise_std": lambda v: SimConfig(n=8, dense_u_noise_std=v),
+    "OU sigma": lambda v: OUProcess(sigma=v),
+    "OU drift": lambda v: OUProcess(drift=v),
+    "coefficient std": lambda v: BandLimitedProcess(coeff_std=v),
+    "tol": lambda v: check_orthonormality(build_basis("cosine", 8), tol=v),
+}
+
+# (field, value): each raised a comparison TypeError, or constructed, before the rule
+NON_REALS = [
+    ("sigma_eta2", "1"),
+    ("conf_prob", "0.5"),
+    ("horizon", "1"),
+    ("dense_u_noise_std", None),
+    ("OU sigma", "1"),
+    ("OU drift", "-1"),
+    ("tol", "1e-9"),
+    ("conf_prob", True),
+    ("sigma_eta2", True),
+    ("coefficient std", True),
+]
+
+
+class TestRealNumberRule:
+    @pytest.mark.parametrize("field, value", NON_REALS, ids=repr)
+    def test_non_real_rejected(self, field, value):
+        message = f"{field} must be a real number, got {value!r}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            REAL_FIELDS[field](value)
+
+    @pytest.mark.parametrize("field", REAL_FIELDS)
+    def test_numpy_real_accepted(self, field):
+        value = np.float32(-0.5) if field == "OU drift" else np.float32(0.5)
+        REAL_FIELDS[field](value)
+
+
 class TestRejectedAtConstruction:
     @pytest.mark.parametrize("field", ["u_process", "eps_process"])
     def test_process_must_be_a_process(self, field):

@@ -51,9 +51,30 @@ def listed_bfs_oracle(x, y, sets):
     return np.sort(np.asarray(sets[best])), betas[best]
 
 
+def subset_errors(x, y, sets):
+    """Mean squared residual of the least-squares fit on each row set of ``sets``.
+
+    The batched residual-kernel reference: every set of the (C, s) array of 1-based
+    rows is gathered and fitted in one batch, by ``eigh`` of its Gram matrix, or by
+    ``lstsq`` where ``_singular`` flags that matrix.
+    """
+    s, d = sets.shape[1], x.shape[1]
+    rows = sets - 1
+    xs, ys = x[rows], y[rows]
+    lam, vec = np.linalg.eigh(np.swapaxes(xs, 1, 2) @ xs)
+    singular = robust._singular(lam, s, d)
+    lam[singular] = 1.0  # refitted by _lstsq below
+    proj = np.einsum("cji,cj->ci", vec, np.einsum("csi,cs->ci", xs, ys)) / lam
+    coef = np.einsum("cij,cj->ci", vec, proj)
+    for k in np.flatnonzero(singular):
+        coef[k] = robust._lstsq(xs[k], ys[k])
+    resid = ys - np.einsum("csi,ci->cs", xs, coef)
+    return np.einsum("cs,cs->c", resid, resid) / s
+
+
 def residual_kernel_winner(p, sets):
     """The winner of scoring every set in the residual form, as bfs did before its screen."""
-    return np.sort(sets[first_within_tie_tolerance(robust._subset_errors(p.x, p.y, sets), p.y)])
+    return np.sort(sets[first_within_tie_tolerance(subset_errors(p.x, p.y, sets), p.y)])
 
 
 def screen_bounds(p, sets):
@@ -598,6 +619,19 @@ class TestBfsKernel:
             assert np.max(np.abs(fit.beta - beta)) < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_all_exact_search_fits_one_set(self, d, monkeypatch):
+        # the first set scores within the tie tolerance of 0, so it wins before any other is fitted
+        calls, real = [], robust._lstsq
+        monkeypatch.setattr(robust, "_lstsq", lambda x, y: calls.append(1) or real(x, y))
+        sets = candidate_sets_all_of_size(10, 6)
+        for seed in range(20):
+            x = np.random.default_rng(700 + seed).normal(size=(10, d))
+            calls.clear()
+            fit = bfs(RegressionProblem(x, x @ np.ones(d)), sets)
+            assert list(fit.inliers) == [1, 2, 3, 4, 5, 6]
+            assert len(calls) == 1, seed
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_screen_bounds_the_residual_score(self, d):
         rng = np.random.default_rng(740 + d)
         for trial in range(40):
@@ -609,8 +643,12 @@ class TestBfsKernel:
             p = RegressionProblem(x, y)
             sets = candidate_sets_all_of_size(n, s)
             lo, hi = screen_bounds(p, sets)
-            err = robust._subset_errors(p.x, p.y, sets)
+            err = subset_errors(p.x, p.y, sets)
             assert np.all((lo <= err) & (err <= hi)), trial
+            if n == 10:  # and each set's own lstsq score, the one the tie rule uses
+                err = [np.sum((p.y[r] - p.x[r] @ robust._lstsq(p.x[r], p.y[r])) ** 2) / s
+                       for r in sets - 1]
+                assert np.all((lo <= err) & (err <= hi)), trial
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_winner_matches_the_residual_kernel_on_planted_instances(self, d):
@@ -783,6 +821,13 @@ class TestBfsMemo:
     def test_bfs_kernel_instances(self):
         for p, n, size in bfs_kernel_instances():
             self.assert_same_fit(p, candidate_sets_all_of_size(n, size))
+
+    def test_bfs_returns_the_ols_fit_of_its_winner(self):
+        for p, n, size in bfs_kernel_instances():
+            fit = bfs(p, candidate_sets_all_of_size(n, size))
+            rows = fit.inliers - 1
+            assert fit.beta.tobytes() == ols(p, fit.inliers).tobytes()
+            assert fit.residual_norm == np.linalg.norm(p.y[rows] - p.x[rows] @ fit.beta)
 
     def test_table1_and_haar_d2_cycle(self):
         calls = table1_and_haar_bfs_calls()

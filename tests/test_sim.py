@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,20 @@ class TestGenerate:
             SimConfig(n=8, d=2, beta=(1.0, 2.0, 3.0)).beta_vector()
 
     @pytest.mark.parametrize(
+        "d, beta, expected",
+        [
+            (2, np.int64(3), [3.0, 3.0]),
+            (1, np.float32(2.0), [2.0]),
+            (2, Fraction(1, 2), [0.5, 0.5]),
+        ],
+        ids=repr,
+    )
+    def test_numpy_scalar_beta_broadcasts(self, d, beta, expected):
+        config = SimConfig(n=8, d=d, beta=beta)
+        assert type(config.beta) is float
+        assert config.beta_vector().tolist() == expected
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("sigma_eta2", math.nan, "sigma_eta2 must be non-negative, got nan"),
@@ -357,6 +372,8 @@ class TestGenerate:
                 "beta", [True, 2.0],
                 "beta must be a number or a sequence of numbers, got [True, 2.0]",
             ),
+            ("beta", None, "beta must be a number or a sequence of numbers, got None"),
+            ("beta", np.True_, "beta must be a number or a sequence of numbers, got np.True_"),
         ],
     )
     def test_non_finite_values_rejected(self, field, value, message):
