@@ -162,7 +162,7 @@ def cmd_simulate(args) -> int:
         "process": args.process,
     }
     with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth_doc, fh, indent=2)
+        json.dump(truth_doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"wrote {args.out} ({config.n} rows) and {truth_path}")
     print(f"confounded frequencies |G| = {len(truth.g_set)}, seed = {config.seed}")
@@ -176,7 +176,7 @@ def _fit_from_args(args):
 
 def cmd_fit(args) -> int:
     est, _ = _fit_from_args(args)
-    doc = json.dumps(est.to_json_dict())
+    doc = json.dumps(est.to_json_dict(), allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(doc + "\n")
@@ -201,7 +201,7 @@ def cmd_deconfound(args) -> int:
     summary = {key: doc[key] for key in keys}
     summary["n_excluded"] = len(doc["excluded_frequencies"])
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"wrote {fitted_path}, {excluded_path}, {summary_path}")
     print(f"R^2 = {est.r_squared:.6f}, excluded {len(est.excluded_frequencies)} frequencies")

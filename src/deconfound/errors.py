@@ -18,11 +18,15 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_real(name: str, value) -> None:
-    """``ConfigurationError`` unless ``value`` is a real number (``is_real``); the caller
-    checks its range."""
+def check_real(name: str, value) -> float:
+    """``value`` as a float, or ``ConfigurationError`` unless it is a real number (``is_real``)
+    that a float can hold (a Python int may not); the caller checks its range."""
     if not is_real(value):
         raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # its repr can be too long to print
+        raise ConfigurationError(f"{name} must lie in float range") from None
 
 
 def check_count(name: str, value, low: int = 1) -> int:

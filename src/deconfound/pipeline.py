@@ -11,6 +11,7 @@ derived.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass
 
@@ -80,7 +81,8 @@ class DecorEstimate(robust.RobustFit):
     r_squared: float
 
     def to_json_dict(self) -> dict:
-        """JSON-ready representation (schema_version "1", 1-based index arrays)."""
+        """JSON-ready representation (schema_version "1", 1-based index arrays); an
+        undefined R^2 (``-inf``, for a constant y that the fit misses) is ``None``."""
         return {
             "schema_version": SCHEMA_VERSION,
             "beta": np.atleast_1d(self.beta).astype(float).tolist(),
@@ -89,7 +91,7 @@ class DecorEstimate(robust.RobustFit):
             "iterations": int(self.iterations),
             "fitted_time_domain": self.fitted_time_domain.tolist(),
             "residuals_time_domain": self.residuals_time_domain.tolist(),
-            "r_squared": self.r_squared,
+            "r_squared": self.r_squared if math.isfinite(self.r_squared) else None,
             "converged": bool(self.converged),
             "method": self.method.value,
         }

@@ -307,11 +307,17 @@ def torrent(
     )
 
 
-def _all_combinations(n: int, size: int) -> np.ndarray:
-    flat = chain.from_iterable(combinations(range(1, n + 1), size))
-    sets = np.fromiter(flat, np.intp, math.comb(n, size) * size).reshape(-1, size)
-    sets.setflags(write=False)
-    return sets
+def _subsets(n: int, size: int, chunk: int):
+    """The size-subsets of {1, ..., n} in lexicographic order, as read-only (<= chunk, size)
+    ``intp`` arrays of 1-based sets: the one enumerator, of ``candidate_sets_all_of_size``
+    and of ``eta_condition``."""
+    subsets, total = combinations(range(1, n + 1), size), math.comb(n, size)
+    for start in range(0, total, chunk):
+        count = min(chunk, total - start)
+        flat = chain.from_iterable(islice(subsets, count))
+        sets = np.fromiter(flat, np.intp, count * size).reshape(count, size)
+        sets.setflags(write=False)
+        yield sets
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -320,9 +326,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 # building the sets and bfs's row mask of them costs more than fitting them, so the
-# memo keeps (n, size) -> (sets, mask or None), least recently used first: 16 entries,
-# each array at most 1 MiB, so an enumeration of cap size never stays resident
-_memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = {}
+# memo keeps (n, size) -> (sets, mask) for enumerations whose mask fits in 1 MiB, least
+# recently used first: 16 entries, so an enumeration of cap size never stays resident
+_memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _memo_lock = threading.Lock()
 
 
@@ -333,7 +339,7 @@ def candidate_sets_all_of_size(
 
     Returns a read-only ``(C(n, size), size)`` integer array, one set per row.
     ``n``, ``size`` and ``cap`` are counts (``check_count``).  A repeated request for
-    an array of at most 1 MiB returns the same array while it is among the last 16.
+    sets whose ``_row_mask`` fits in 1 MiB returns the same array while it is among the last 16.
 
     Raises
     ------
@@ -345,14 +351,13 @@ def candidate_sets_all_of_size(
     if size > n:
         raise ValueError(f"size must lie in 1..{n}, got {size}")
     count = _enumeration_count(n, size, cap)
-    if count * size * 8 > 1 << 20:
-        return _all_combinations(n, size)
+    if count * n * 8 > 1 << 20:
+        return next(_subsets(n, size, count))
     with _memo_lock:
         entry = _memo.pop((n, size), None)
         if entry is None:
-            sets = _all_combinations(n, size)
-            mask = _frozen(_row_mask(sets, n)) if count * n * 8 <= 1 << 20 else None
-            entry = (_frozen(sets), mask)
+            sets = next(_subsets(n, size, count))
+            entry = (_frozen(sets), _frozen(_row_mask(sets, n)))
             if len(_memo) >= 16:
                 del _memo[next(iter(_memo))]
         _memo[n, size] = entry
@@ -507,12 +512,7 @@ def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> 
     return RobustFit(_rescaled(beta, ey - ex), winner, 0, _rescaled(norm, ey), True, "BFS")
 
 
-def eta_condition(
-    problem: RegressionProblem,
-    a: int,
-    inliers: Sequence[int],
-    cap: int = SUBSET_ENUMERATION_CAP,
-) -> float:
+def eta_condition(problem: RegressionProblem, a: int, inliers: Sequence[int]) -> float:
     """Worst-case subset spectral ratio against a known inlier set.
 
     For every subset S of size ``a``, compute
@@ -520,28 +520,28 @@ def eta_condition(
     symmetric difference between S and the supplied inlier set, and return the
     maximum.  Values below ``1/sqrt(2)`` certify recovery for the iterative
     hard-thresholding estimator.  Returns ``inf`` if any subset design is
-    singular.
+    singular (``_singular``).  Raises ``FeasibilityError`` when C(n, a) exceeds
+    ``SUBSET_ENUMERATION_CAP``.
 
     This needs the true inlier set, so it is a simulation-only diagnostic.
     """
     n, d = problem.n, problem.d
     a_count = resolve_count(a, n)
-    _enumeration_count(n, a_count, cap)
+    _enumeration_count(n, a_count, SUBSET_ENUMERATION_CAP)
     is_inlier = np.zeros(n, dtype=bool)
     is_inlier[_index_sets(inliers, "inlier", n=n) - 1] = True
     # X_S^T X_S and X_V^T X_V are sums of x_k x_k^T over the rows of S and of V = S xor I,
     # taken at the fitting scale: the ratio is the same at any scale of x, the sums are not
     x, y, _, _ = _scaled(problem)
-    outer = _moments(x, y)[:, : d * d]
-    subsets = combinations(range(1, n + 1), a_count)  # streamed _CHUNK_SETS at a time
+    moments = _moments(x, y).T
     worst = 0.0
-    while True:
-        flat = chain.from_iterable(islice(subsets, _CHUNK_SETS))
-        mask = _row_mask(np.fromiter(flat, np.intp).reshape(-1, a_count), n)
-        if not len(mask):
-            return worst
-        lam = np.linalg.eigvalsh((mask @ outer).reshape(-1, d, d))
-        if _singular(lam, a_count, d).any():
+    for sets in _subsets(n, a_count, _CHUNK_SETS):
+        mask = _row_mask(sets, n)
+        sums = moments @ mask.T  # a column per set, as in _screen
+        lam, singular, _ = _solve(sums[: d * d], sums[d * d : -1], a_count)
+        if singular.any():
             return float("inf")
-        top = np.linalg.eigvalsh(((mask != is_inlier) @ outer).reshape(-1, d, d))[:, -1]
+        sums = moments @ (mask != is_inlier).T
+        top = _solve(sums[: d * d], sums[d * d : -1], a_count)[0][:, -1]
         worst = max(worst, float(np.sqrt(np.maximum(top, 0.0) / lam[:, 0]).max()))
+    return worst

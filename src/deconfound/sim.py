@@ -152,7 +152,7 @@ class SimConfig:
             raise ConfigurationError("dense_u_noise_std must be non-negative")
         object.__setattr__(self, "basis_kind", BasisKind(self.basis_kind))
         if is_real(self.beta):
-            object.__setattr__(self, "beta", float(self.beta))
+            object.__setattr__(self, "beta", check_real("beta", self.beta))
         else:
             # a str or bytes is one value, not a sequence: bytes would read as their codes
             one = isinstance(self.beta, (str, bytes)) or not np.iterable(self.beta)
@@ -161,7 +161,7 @@ class SimConfig:
                 raise ConfigurationError(
                     f"beta must be a number or a sequence of numbers, got {self.beta!r}"
                 )
-            object.__setattr__(self, "beta", tuple(float(b) for b in beta))
+            object.__setattr__(self, "beta", tuple(check_real("beta", b) for b in beta))
         if not np.isfinite(self.beta_vector()).all():
             raise ConfigurationError(f"beta must be finite, got {self.beta}")
 
@@ -230,10 +230,7 @@ def generate(config: SimConfig, rng: np.random.Generator | None = None):
     beta = config.beta_vector()
 
     g_size = confounded_set_size(config.conf_prob, n)
-    if g_size > 0:
-        g_set = np.sort(rng.choice(n, size=g_size, replace=False)) + 1
-    else:
-        g_set = np.empty(0, dtype=int)
+    g_set = np.sort(rng.choice(n, size=g_size, replace=False)) + 1
 
     coeffs = np.hstack([
         config.u_process._coefficients(basis, 1, config.horizon, rng),

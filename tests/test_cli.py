@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deconfound import SimConfig, generate
+from deconfound import SimConfig, decor_fit, generate
 from deconfound.cli import load_experiment_spec, main, write_series_csv
 
 REPO_SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -16,6 +16,14 @@ REPO_SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -150,21 +158,27 @@ class TestFit:
 
     def test_estimate_at_a_huge_scale_is_valid_json(self, tmp_path):
         # at c = 1e200 the centered sums of squares overflowed, and R^2 was written as NaN
-        def strict(text):
-            def reject(constant):
-                raise ValueError(f"{constant} is not JSON")
-
-            return json.loads(text, parse_constant=reject)
-
         docs = []
         for c in (1.0, 1e200):
             x, y, _ = generate(SimConfig(n=16, sigma_eta2=1.0, conf_prob=0.25, seed=29))
             data, out = tmp_path / f"c{c:g}.csv", tmp_path / f"c{c:g}.json"
             write_series_csv(data, np.arange(1, 17) / 16, c * x, c * y)
             assert run_cli("fit", "--input", data, "--out", out) == 0
-            docs.append(strict(out.read_text()))
+            docs.append(strict_json(out.read_text()))
         assert docs[1]["r_squared"] == pytest.approx(docs[0]["r_squared"], rel=1e-9)
         assert docs[1]["beta"] == pytest.approx(docs[0]["beta"], rel=1e-9)
+
+    def test_constant_response_writes_null_r_squared(self, tmp_path):
+        # R^2 of a constant y is undefined: the library keeps -inf, the JSON writes null
+        rng = np.random.default_rng(31)
+        x, y = 1.0 + 0.1 * rng.normal(size=(32, 1)), np.full(32, 5.0)
+        data, out, prefix = tmp_path / "flat.csv", tmp_path / "flat.json", tmp_path / "flat"
+        write_series_csv(data, np.arange(1, 33) / 32, x, y)
+        assert decor_fit(x, y).r_squared == -math.inf
+        assert run_cli("fit", "--input", data, "--out", out) == 0
+        assert strict_json(out.read_text())["r_squared"] is None
+        assert run_cli("deconfound", "--input", data, "--out", prefix) == 0
+        assert strict_json(Path(f"{prefix}_summary.json").read_text())["r_squared"] is None
 
     def test_wrong_header_rejected(self, tmp_path):
         bad = tmp_path / "bad2.csv"

@@ -373,8 +373,7 @@ def count_spec(**fields):
 
 COUNT_PROBLEM = RegressionProblem(np.arange(8.0), np.arange(8.0) ** 2)
 # each size or count: (its name in the message, its least value, the count as the entry point
-# keeps it, or for torrent the refits it ran, for a cap the entries of the one set it lets through,
-# or for eta_condition's cap that set's certificate against inlier row 1: 140 / 140, so 1)
+# keeps it, or for torrent the refits it ran, for a cap the entries of the one set it lets through)
 COUNTS = {
     "build_basis n": ("n", 1, lambda v: build_basis("cosine", v).n),
     "SimConfig.n": ("n", 1, lambda v: SimConfig(n=v).n),
@@ -394,7 +393,6 @@ COUNTS = {
     "candidate_sets_all_of_size cap": (
         "cap", 1, lambda v: candidate_sets_all_of_size(8, 8, cap=v).size
     ),
-    "eta_condition cap": ("cap", 1, lambda v: round(eta_condition(COUNT_PROBLEM, 8, [1], v))),
 }
 # spellings of the count 8
 ACCEPTED_COUNTS = [8, np.int64(8), np.uint16(8), 8.0, np.float32(8.0), np.float64(8.0)]
@@ -478,6 +476,19 @@ class TestRealNumberRule:
         message = f"{field} must be a real number, got {value!r}"
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             REAL_FIELDS[field](value)
+
+    @pytest.mark.parametrize("field", [*REAL_FIELDS, "beta", "beta sequence"])
+    def test_int_beyond_float_range_rejected(self, field):
+        # float() of the int raised a bare OverflowError
+        value = -(10**400) if field == "OU drift" else 10**400
+        calls = {
+            **REAL_FIELDS,
+            "beta": lambda v: SimConfig(n=8, beta=v),
+            "beta sequence": lambda v: SimConfig(n=8, d=2, beta=(1.0, v)),
+        }
+        name = field.removesuffix(" sequence")
+        with pytest.raises(ConfigurationError, match=f"^{name} must lie in float range$"):
+            calls[field](value)
 
     @pytest.mark.parametrize("field", REAL_FIELDS)
     def test_numpy_real_accepted(self, field):

@@ -843,7 +843,7 @@ class TestBfsMemo:
             candidate_sets_all_of_size(n, size)
         for (n, size), (sets, mask) in robust._memo.items():
             assert sets.shape == (math.comb(n, size), size)
-            assert mask is None or np.array_equal(mask, robust._row_mask(sets, n))
+            assert np.array_equal(mask, robust._row_mask(sets, n))
 
     def test_other_arrays_of_the_memo_shape_take_their_own_mask(self):
         # every 6 of rows {1, 3, 4, 5, 6, 8, 9, 10} fit exactly, so the order decides
@@ -874,13 +874,23 @@ class TestBfsMemo:
         with pytest.raises(ValueError, match="lie in 1..5"):
             bfs(RegressionProblem(np.ones(5), np.ones(5)), sets)
 
-    def test_a_mask_too_large_to_memoise_is_built_per_chunk(self):
-        # C(200, 2) sets take 0.3 MiB, their mask 30 MiB: the sets are memoised without it
+    def test_a_mask_too_large_to_memoise_is_built_per_chunk(self, monkeypatch):
+        # C(200, 2) sets take 0.3 MiB but their mask 30 MiB, so neither is memoised
         sets = candidate_sets_all_of_size(200, 2)
-        assert sets is candidate_sets_all_of_size(200, 2)
-        assert robust._memo[200, 2][1] is None
+        assert (200, 2) not in robust._memo and not sets.flags.writeable
+        assert sets is not candidate_sets_all_of_size(200, 2)
         rng = np.random.default_rng(7)
         p = RegressionProblem(rng.normal(size=200), rng.normal(size=200))
+        masked, row_mask = [], robust._row_mask  # the number of sets in each mask bfs builds
+
+        def counted_row_mask(chunk, n):
+            masked.append(len(chunk))
+            return row_mask(chunk, n)
+
+        monkeypatch.setattr(robust, "_row_mask", counted_row_mask)
+        bfs(p, sets)
+        assert sum(masked) == len(sets) and max(masked) == robust._CHUNK_SETS * 2 // 200
+        monkeypatch.undo()
         self.assert_same_fit(p, sets)
 
 
@@ -1003,6 +1013,32 @@ class TestEtaCondition:
             for a in (3, 4):
                 assert eta_condition(p, a, [1, 2, 3]) == float("inf")
                 assert eta_condition_loop_reference(p, a, [1, 2, 3]) == float("inf")
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ill_conditioned_designs_match_loop_reference(self, d):
+        # nearly collinear columns: subset Gram matrices with condition numbers near 1e6,
+        # where _solve's d = 2 closed form and eigh round unlike eigvalsh
+        n, a = 9, 6
+        for seed in range(6):
+            rng = np.random.default_rng(900 + seed)
+            x = rng.normal(size=(n, 1)) + 3e-3 * rng.normal(size=(n, d))
+            p = RegressionProblem(x, rng.normal(size=n))
+            cond = max(np.linalg.cond(x[list(s)].T @ x[list(s)]) for s in combinations(range(n), a))
+            assert 1e5 < cond < 1e8
+            inliers = np.sort(rng.choice(np.arange(1, n + 1), size=7, replace=False))
+            got, ref = eta_condition(p, a, inliers), eta_condition_loop_reference(p, a, inliers)
+            assert got == pytest.approx(ref, rel=4 * np.finfo(float).eps * cond)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_past_the_singular_threshold_is_infinite(self, d):
+        # of full numerical rank, but with subset Gram ratios lambda_min / lambda_max near
+        # 1e-18, below _singular's max(a, d) * eps
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(8, 1)) + 1e-9 * rng.normal(size=(8, d))
+        assert np.linalg.matrix_rank(x) == d
+        p = RegressionProblem(x, np.ones(8))
+        assert eta_condition(p, 6, [1, 2, 3]) == float("inf")
+        assert eta_condition_loop_reference(p, 6, [1, 2, 3]) == float("inf")
 
     def test_no_outliers_full_set_is_zero(self):
         rng = np.random.default_rng(10)
