@@ -12,9 +12,12 @@ Exit codes: 0 success, 1 ``check-basis`` found the basis not orthonormal within
 ``--tol``, 2 usage or input-format error, 3 fit did not converge, 4 combinatorially
 infeasible request.
 
-Data CSV format: header ``t,x_1,...,x_d,y`` (the ``t`` column is optional on
-input; row order defines the sample grid), comma separated, decimal points,
-UTF-8, LF line endings.
+Data CSV format: header ``t,x_1,...,x_d,y`` with d >= 1 (the ``t`` column is
+optional on input; row order defines the sample grid), comma separated, decimal
+points, UTF-8.  Lines end in LF, CRLF or CR; blank lines are skipped; cells may
+be quoted or padded with whitespace.  Each cell is read as Python's ``float()``
+reads it: numpy parses the cells, and where it rejects the file the csv module
+reads it again and names the first bad row.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import sys
 import typing
@@ -53,39 +57,74 @@ class InputFormatError(ValueError):
 
 
 def read_series_csv(path):
-    """Read a ``t,x_1..x_d,y`` CSV; returns ``(t, x, y)`` with ``t`` possibly None."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputFormatError(f"{path}: empty file, expected a header row")
-        header = [h.strip() for h in header]
-        has_t = bool(header) and header[0] == "t"
-        body = header[1:] if has_t else header
-        if not body or body[-1] != "y":
-            raise InputFormatError(
-                f"{path}: header must be t,x_1..x_d,y or x_1..x_d,y, got {','.join(header)}"
-            )
-        x_names = body[:-1]
-        expected = [f"x_{i}" for i in range(1, len(x_names) + 1)]
-        if x_names != expected:
-            raise InputFormatError(
-                f"{path}: covariate columns must be named {','.join(expected)}, "
-                f"got {','.join(x_names) or '(none)'}"
-            )
-        rows = list(reader)
-    body_rows = [row for row in rows if row]
-    if not body_rows:
-        raise InputFormatError(f"{path}: no data rows")
+    """Read a ``t,x_1..x_d,y`` CSV; returns ``(t, x, y)`` with ``t`` possibly None.
+
+    numpy parses the data rows in one call.  A body it rejects, or one it might
+    read unlike the csv module and ``float()``, is read again row by row, which
+    gives the same arrays or names the first bad row.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        table = np.array(body_rows, dtype=float)
-    except ValueError:
-        _raise_first_bad_cell(path, header, rows)
-    if table.shape[1] != len(header):
-        _raise_first_bad_cell(path, header, rows)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputFormatError(
+            f"{path}: not UTF-8: cannot decode byte 0x{data[e.start]:02x} at offset {e.start}"
+        ) from None
+    lines = io.StringIO(text, newline="")
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputFormatError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header]
+    has_t = bool(header) and header[0] == "t"
+    body = header[1:] if has_t else header
+    if len(body) < 2 or body[-1] != "y":
+        raise InputFormatError(
+            f"{path}: header must be t,x_1..x_d,y or x_1..x_d,y, got {','.join(header)}"
+        )
+    x_names = body[:-1]
+    expected = [f"x_{i}" for i in range(1, len(x_names) + 1)]
+    if x_names != expected:
+        raise InputFormatError(
+            f"{path}: covariate columns must be named {','.join(expected)}, "
+            f"got {','.join(x_names)}"
+        )
+    rest = lines.read()
+    if not rest.strip("\r\n"):  # checked here, since loadtxt warns on a body with no rows
+        raise InputFormatError(f"{path}: no data rows")
+    table = _numpy_table(rest, len(header))
+    if table is None:
+        rows = list(csv.reader(io.StringIO(rest, newline="")))
+        try:
+            table = np.array([row for row in rows if row], dtype=float)
+        except ValueError:
+            _raise_first_bad_cell(path, header, rows)
+        if table.shape[1] != len(header):
+            _raise_first_bad_cell(path, header, rows)
     t = table[:, 0] if has_t else None
     return t, table[:, has_t:-1], table[:, -1]
+
+
+# numpy strips these around a number as whitespace, where float() rejects them
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _numpy_table(text, width):
+    """The rows of ``text`` as numpy parses them, or None where the row-by-row read may differ."""
+    if any(c in text for c in _NOT_FLOAT_SPACE):
+        return None
+    # the csv module rejects a cell longer than its field limit; numpy has no limit.  An
+    # unquoted cell lies within one line, while a quoted one may span lines.
+    limit = csv.field_size_limit()
+    if len(text) > limit and ('"' in text or max(map(len, text.split("\n"))) > limit):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape[1] == width else None
 
 
 def _raise_first_bad_cell(path, header, rows):

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +186,23 @@ class TestFit:
         bad = tmp_path / "bad2.csv"
         bad.write_text("a,b\n1,2\n")
         assert run_cli("fit", "--input", bad) == 2
+
+    @pytest.mark.parametrize("header, rows", [("t,y", "0.1,2.0\n0.2,3.0\n"), ("y", "2.0\n3.0\n")])
+    def test_header_without_covariate_rejected(self, tmp_path, capsys, header, rows):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{rows}")
+        assert run_cli("fit", "--input", bad) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: header must be t,x_1..x_d,y or x_1..x_d,y, got {header}\n"
+        )
+
+    def test_non_utf8_file_names_path_and_offset(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("t,x_1,y\n0.1,1.0,2.0\n0.2,\xff1.5,3.0\n".encode("latin-1"))
+        assert run_cli("fit", "--input", bad) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: not UTF-8: cannot decode byte 0xff at offset 24\n"
+        )
 
     def test_misnamed_covariate_column_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -579,7 +598,7 @@ def _reference_read_series_csv(path):
         header = [h.strip() for h in header]
         has_t = bool(header) and header[0] == "t"
         body = header[1:] if has_t else header
-        if not body or body[-1] != "y":
+        if len(body) < 2 or body[-1] != "y":
             raise InputFormatError(
                 f"{path}: header must be t,x_1..x_d,y or x_1..x_d,y, got {','.join(header)}"
             )
@@ -588,7 +607,7 @@ def _reference_read_series_csv(path):
         if x_names != expected:
             raise InputFormatError(
                 f"{path}: covariate columns must be named {','.join(expected)}, "
-                f"got {','.join(x_names) or '(none)'}"
+                f"got {','.join(x_names)}"
             )
         d = len(x_names)
         t_vals, x_vals, y_vals = [], [], []
@@ -652,16 +671,74 @@ CSV_CASES = {
     "bad t cell": "t,x_1,y\n0.1,1.0,2.0\nx,1.0,2.0\n",
     "bad y cell": "t,x_1,y\n0.1,1.0,2.0\n0.2,1.0,y\n",
     "header only": "t,x_1,y\n",
+    "blank lines only": "t,x_1,y\n\n\r\n\r",
     "empty file": "",
     "bad header": "a,b\n1,2\n",
+    "no covariate column": "t,y\n0.1,2.0\n0.2,3.0\n",
+    "response column only": "y\n2.0\n3.0\n",
     "bad cells in a plain file": _two_bad_cells(),
+    # numpy strips \x1c around a number and reads 1.0; float() rejects it
+    "file separator before a cell": "t,x_1,y\n0.1,\x1c1,2.0\n",
+    "file separator after a cell": "t,x_1,y\n0.1,1\x1f,2.0\n",
+    "quoted cell holding a newline": 't,x_1,y\n0.1,"1\n0",2.0\n',
+    "quoted cell ending in a newline": 't,x_1,y\n0.1,"1\n",2.0\n',
+    "cr line endings": "t,x_1,y\r0.1,1.0,2.0\r0.2,1.5,3.0\r",
+    "nul in a cell": "t,x_1,y\n0.1,1\x000,2.0\n",
+    "nul after a cell": "t,x_1,y\n0.1,1.0\x00,2.0\n",
+    # the csv module rejects a field longer than its limit, also one that spans lines
+    "quoted cell longer than the field limit": 't,x_1,y\n0.1,"' + "\n" * 140_000 + '1.0",2.0\n',
 }
 
 
+# fixed before the first run: drawing another seed to get past a failure would hide what it found
+_FUZZ_SEED = 8_314_902
+# parts of odd cells: whitespace that float() and numpy may strip unalike, digits, quotes, NUL
+_ODD_PARTS = ["\x0c", "\x1c", "\u2003", "\xa0", "_", "\u0661", "0x", '"', "\x00"]
+
+
+def _fuzzed_cell(rng):
+    """Mostly a float's repr over 1e±300, subnormal or out of range; now and then an odd cell."""
+    kind = rng.random()
+    if kind < 0.8:
+        cell = repr(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300))
+    elif kind < 0.9:
+        cell = repr(rng.randrange(1, 2**52) * 5e-324)
+    else:
+        cell = rng.choice(("1e400", "-1e400", "1e-400", "-1e-400"))
+    if rng.random() < 0.05:
+        odd = rng.random()
+        if odd < 0.1:
+            return ""
+        if odd < 0.25:
+            return f'"{cell}"'
+        at = rng.choice((0, len(cell), rng.randrange(len(cell) + 1)))
+        return cell[:at] + rng.choice(_ODD_PARTS) + cell[at:]
+    return cell
+
+
+def _fuzzed_csv(rng):
+    """A header and up to 8 rows, some too short or too long, with LF, CRLF or CR line ends."""
+    d = rng.randint(1, 3)
+    header = ["t"] * (rng.random() < 0.5) + [f"x_{i}" for i in range(1, d + 1)] + ["y"]
+    lines = [",".join(header)]
+    for _ in range(rng.randint(0, 8)):
+        if rng.random() < 0.03:
+            lines.append("")
+        width = len(header) + (rng.choice((-1, 1)) if rng.random() < 0.03 else 0)
+        lines.append(",".join(_fuzzed_cell(rng) for _ in range(width)))
+    end = rng.choice(("\n", "\r\n", "\r"))
+    return end.join(lines) + end * (rng.random() < 0.7)
+
+
 def _read_outcome(reader, path):
-    """Shapes, dtypes and bytes of the arrays ``reader`` returns, or its exception type and message."""
+    """Shapes, dtypes and bytes of the arrays ``reader`` returns, or its exception type and message.
+
+    A warning is raised as an error, so a reader that warns gives another outcome.
+    """
     try:
-        arrays = reader(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = reader(path)
     except Exception as e:
         return type(e), str(e)
     return [None if a is None else (a.shape, a.dtype, a.tobytes()) for a in arrays]
@@ -695,6 +772,19 @@ class TestReadSeriesCsv:
         assert outcome == _read_outcome(_reference_read_series_csv, path)
         assert outcome == [(a.shape, a.dtype, a.tobytes()) for a in (t, x, y)]
 
+    def test_fuzzed_files_match_row_by_row_reader(self, tmp_path):
+        from deconfound.cli import read_series_csv
+
+        rng = random.Random(_FUZZ_SEED)
+        path = tmp_path / "data.csv"
+        mismatched = []
+        for _ in range(2000):
+            text = _fuzzed_csv(rng)
+            path.write_bytes(text.encode("utf-8"))
+            outcome = _read_outcome(read_series_csv, path)
+            if outcome != _read_outcome(_reference_read_series_csv, path):
+                mismatched.append(text)
+        assert mismatched == []
 
     def test_csv_module_error_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
