@@ -115,6 +115,11 @@ def _numpy_table(text, width):
     """The rows of ``text`` as numpy parses them, or None where the row-by-row read may differ."""
     if any(c in text for c in _NOT_FLOAT_SPACE):
         return None
+    # numpy reads CRLF but rejects a lone CR.  Where the first CR is lone and no quote lets a
+    # cell hold a line break, each CRLF and CR becomes LF, as the csv module ends lines there.
+    cr = text.find("\r")
+    if cr >= 0 and text[cr + 1 : cr + 2] != "\n" and '"' not in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     # the csv module rejects a cell longer than its field limit; numpy has no limit.  An
     # unquoted cell lies within one line, while a quoted one may span lines.
     limit = csv.field_size_limit()

@@ -26,7 +26,7 @@ from .errors import FeasibilityError, check_count, is_real
 
 SUBSET_ENUMERATION_CAP = 10_000_000
 _CHUNK_SETS = 4096  # candidate sets fitted per batch; bounds the working memory
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a Python float, which one-system arithmetic keeps fast
 
 
 @dataclass(frozen=True)
@@ -214,11 +214,14 @@ def hard_threshold(v: np.ndarray, a: int) -> np.ndarray:
 
 
 def _smallest(v: np.ndarray, a: int) -> np.ndarray:
-    """Mask of the ``a`` smallest entries, the set ``argsort(v, kind="stable")[:a]`` picks."""
-    # no sort: every entry below the a-th smallest t, then the lowest-index entries equal to t
+    """Mask of the ``a`` smallest entries, the set ``argsort(v, kind="stable")[:a]`` picks: the
+    rows whose ``_moments`` a ``torrent`` refit sums.  No sort: the entries at most the a-th
+    smallest t, less the highest-index ties at t beyond a; a NaN t bounds all, ties the NaNs."""
     t = np.partition(v, a - 1)[a - 1]
-    mask, tied = (v < t, v == t) if t == t else (~np.isnan(v), np.isnan(v))  # NaN sorts last
-    mask[tied.nonzero()[0][: a - np.count_nonzero(mask)]] = True
+    mask = v <= t if t == t else np.ones(v.shape, dtype=bool)
+    extra = np.count_nonzero(mask) - a
+    if extra:
+        mask[np.flatnonzero(v == t if t == t else np.isnan(v))[-extra:]] = False
     return mask
 
 
@@ -258,8 +261,9 @@ def torrent(
     longer strictly decreases; ``converged`` is False only if ``max_iter``
     refits were exhausted first.
 
-    Each refit solves the normal equations by ``_solve``, or calls ``lstsq`` for the
-    minimum-norm fit when their Gram matrix is numerically singular.  This rounds unlike
+    Each refit sums its normal equations by one product of the active row mask with the
+    ``_moments``, as ``bfs``'s screen and ``eta_condition`` do, and solves them by ``_solve``;
+    only a singular Gram matrix gathers the active rows, for ``lstsq``.  This rounds unlike
     ``lstsq``: with noise the kept rows match and beta agrees to about 1e-12 relative, but
     an exact fit's inlier residuals are rounding noise, so its kept rows may not.  x or y
     whose largest magnitude leaves [2^-500, 2^500] is fitted scaled by a power of two
@@ -281,22 +285,24 @@ def torrent(
             stacklevel=2,
         )
     x, y, ex, ey = _scaled(problem)
+    moments = _moments(x, y)
     active = np.ones(n, dtype=bool)
-    r_prev = float(np.linalg.norm(y))
+    rows, r_prev = n, math.sqrt(y @ y)  # np.linalg.norm's sum, to the bit
     converged = False
     iterations = 0
     while iterations < max_iter:
         iterations += 1
-        xa, ya = x[active], y[active]
-        _, singular, beta = _solve((xa.T @ xa).ravel(), xa.T @ ya, len(ya))
+        sums = active @ moments
+        _, singular, beta = _solve(sums[: d * d], sums[d * d : -1], rows)
         if singular:
-            beta = _lstsq(xa, ya)
+            beta = _lstsq(x[active], y[active])
         v = np.abs(y - x @ beta)
         new_active = _smallest(v, a_count)
-        r_new = float(np.linalg.norm(v[new_active]))
-        fixed_point = np.array_equal(new_active, active)
-        active = new_active
-        if fixed_point or r_new >= r_prev:
+        kept = v[new_active]
+        r_new = math.sqrt(kept @ kept)
+        moved = (new_active != active).any()
+        active, rows = new_active, a_count
+        if not moved or r_new >= r_prev:
             converged = True
             break
         r_prev = r_new
@@ -387,14 +393,18 @@ def _solve(gram, b, s: int):
     """Eigenvalues, ``_singular`` flag and G^-1 b of the normal equations G beta = b.
 
     ``gram`` is the symmetric d x d G row by row and ``b`` the right-hand side: 1-d arrays
-    for one system (a ``torrent`` refit), or with one column per set (a ``_screen`` chunk);
-    ``lam`` ascends on its last axis, as from ``eigh``.  The one per-d rule: one division for
-    d = 1, the closed form of G for d = 2 (no LAPACK call), ``eigh`` beyond.  The closed form
-    first divides G and b by lam_max, so no product leaves float range at any design scale.
+    for one system (a ``torrent`` refit; Python floats for d <= 2), or with one column per set
+    (a ``_screen`` chunk); ``lam`` ascends on its last axis, as from ``eigh``.  The one per-d
+    rule: one division for d = 1, the closed form of G for d = 2 (no LAPACK call), ``eigh``
+    beyond.  The closed form first divides G and b by lam_max, so no product leaves float range.
     A singular G gets a finite but meaningless G^-1 b."""
     d = len(b)
     if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
         lam = gram.T
+        if gram.ndim == 1:  # one system in Python floats, as for d = 2
+            (g,), (c,) = gram.tolist(), b.tolist()
+            singular = g * max(s, 1) * _EPS >= g  # _singular's rule
+            return lam, singular, np.array([c / (g + singular)])
         singular = _singular(lam, s, 1)
         return lam, singular, b / (gram[0] + singular)
     if d == 2:  # one system's entries as Python floats, which compute faster than numpy's
@@ -415,8 +425,8 @@ def _solve(gram, b, s: int):
 
 
 def _moments(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Each data row's x x^T (flattened), x y and y^2; a ``_row_mask`` product sums them
-    over a set's rows into the set's Gram matrix (``_screen``, ``eta_condition``)."""
+    """Each data row's x x^T (flattened), x y and y^2; one product with a 0/1 row mask sums them
+    over a set's rows: a ``_row_mask`` (``_screen``, ``eta_condition``) or Torrent's active rows."""
     n, d = x.shape
     outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
     return np.column_stack([outer, x * y[:, None], y * y])

@@ -786,6 +786,17 @@ class TestReadSeriesCsv:
                 mismatched.append(text)
         assert mismatched == []
 
+    def test_cr_ended_body_is_parsed_by_numpy(self):
+        from deconfound.cli import _numpy_table
+
+        rows = [[0.1, 1.0, 2.0], [0.2, 1.5, 3.0], [0.3, 2.0, 4.0]]
+        for end in ("\r", "\r\n", "\n"):
+            body = end.join(",".join(map(repr, row)) for row in rows) + end * 2
+            assert _numpy_table(body, 3).tolist() == rows
+        assert _numpy_table("0.1,1.0,2.0\r0.2,1.5,3.0\r\n0.3,2.0,4.0", 3).tolist() == rows
+        # a quoted cell may hold a CR, so a quoted body is not translated: numpy rejects it
+        assert _numpy_table('0.1,"1.0",2.0\r0.2,1.5,3.0\r', 3) is None
+
     def test_csv_module_error_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
         path.write_text("t,x_1,y\n0.1,1.0,2.0\n0.2,1.0," + "9" * 200_000 + "\n")

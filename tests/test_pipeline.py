@@ -1,5 +1,6 @@
 """End-to-end pipeline: estimation, exclusion reports, deconfounded fits."""
 
+import functools
 import json
 import warnings
 
@@ -275,6 +276,83 @@ class TestDecorFit:
         for name in "beta", "inliers", "iterations", "residual_norm", "converged":
             assert np.array_equal(getattr(est, name), getattr(fit, name)), name
         assert est.method is method
+
+
+class TestTorrentSymmetries:
+    """Relations Torrent's estimate keeps when the data are reversed in time, their covariate
+    columns permuted, or one column negated.  Draws are continuous with pinned seeds, and
+    each fit's kept rows are checked to be no near-tie, so rounding cannot swap a row."""
+
+    RTOL = 1e-9
+
+    @staticmethod
+    def draws(basis_kind, d):
+        for n in (16, 64, 512):  # dense transforms, and the DCT or Haar pyramid above 256
+            for seed in range(4):
+                beta = (3.0, -1.0)[:d]
+                x, y, _ = generate(SimConfig(n=n, d=d, beta=beta, basis_kind=basis_kind, seed=seed))
+                yield x, y
+
+    @staticmethod
+    def fit(x, y, basis_kind):
+        est = decor_fit(x, y, DecorConfig(basis_kind=basis_kind, method=Method.TORRENT))
+        # the a-th and (a+1)-th smallest residuals of the final fit lie well apart
+        n, d = x.shape
+        xy = transform(np.column_stack([x, y]), build_basis(basis_kind, n))
+        v = np.sort(np.abs(xy[:, d] - xy[:, :d] @ est.beta))
+        a = resolve_count(DecorConfig().a, n)
+        assert v[a] - v[a - 1] > 1e-6 * v[a]
+        return est
+
+    @staticmethod
+    @functools.cache
+    def reversal_rows(basis_kind, n):
+        """The p with coefficient k of a reversed series = +-(coefficient p(k) of the series)."""
+        phi = build_basis(basis_kind, n).matrix
+        return np.argmax(np.abs(phi.T @ phi[::-1]), axis=0)
+
+    def assert_close(self, got, want):
+        assert np.max(np.abs(got - want)) <= self.RTOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("basis_kind", [BasisKind.COSINE, BasisKind.HAAR])
+    def test_time_reversal(self, basis_kind, d):
+        # a reversed series has the coefficients of a signed row permutation p, so row k is
+        # kept where row p(k) was.  For the cosine basis p is the identity (the DCT-II sign
+        # (-1)^k), so the excluded sets are equal.
+        for x, y in self.draws(basis_kind, d):
+            p = self.reversal_rows(basis_kind, len(y))
+            assert basis_kind is BasisKind.HAAR or np.array_equal(p, np.arange(len(y)))
+            base = self.fit(x, y, basis_kind)
+            rev = self.fit(x[::-1], y[::-1], basis_kind)
+            self.assert_close(rev.beta, base.beta)
+            self.assert_close(rev.fitted_time_domain, base.fitted_time_domain[::-1])
+            assert np.array_equal(np.sort(p[rev.excluded_frequencies - 1]) + 1,
+                                  base.excluded_frequencies)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("basis_kind", [BasisKind.COSINE, BasisKind.HAAR])
+    def test_column_permutation(self, basis_kind, d):
+        order = np.arange(d)[::-1]  # the columns reversed: a swap at d = 2, the identity at 1
+        for x, y in self.draws(basis_kind, d):
+            base = self.fit(x, y, basis_kind)
+            permuted = self.fit(x[:, order], y, basis_kind)
+            self.assert_close(permuted.beta, base.beta[order])
+            assert np.array_equal(permuted.excluded_frequencies, base.excluded_frequencies)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("basis_kind", [BasisKind.COSINE, BasisKind.HAAR])
+    def test_sign_flip_of_one_column(self, basis_kind, d):
+        for x, y in self.draws(basis_kind, d):
+            base = self.fit(x, y, basis_kind)
+            for j in range(d):
+                flipped_x = x.copy()
+                flipped_x[:, j] *= -1.0
+                flipped = self.fit(flipped_x, y, basis_kind)
+                expected = base.beta.copy()
+                expected[j] *= -1.0
+                self.assert_close(flipped.beta, expected)
+                assert np.array_equal(flipped.excluded_frequencies, base.excluded_frequencies)
 
 
 class TestDecorConfig:

@@ -366,6 +366,31 @@ class TestTorrentKernel:
             assert np.max(np.abs(fit.beta - lstsq_argsort_torrent(p, 30)[0])) <= 1e-12
             assert np.max(np.abs(fit.beta - planted)) <= 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_residual_norm_is_the_norm_of_the_kept_residuals(self, d):
+        # torrent sums the kept residuals itself; np.linalg.norm gives the same bits
+        rng = np.random.default_rng(810 + d)
+        for _ in range(50):
+            p, a = self._noisy_instance(rng, d)
+            fit = torrent(p, a)
+            assert p._scale == (0, 0)  # fitted as given, so beta is the refit's own
+            kept = (p.y - p.x @ fit.beta)[fit.inliers - 1]
+            assert fit.residual_norm == np.linalg.norm(kept)
+
+    def test_one_d1_system_is_its_stacked_column(self):
+        # one system in, as a torrent refit gives it, the stacked branch's numbers out
+        rng = np.random.default_rng(970)
+        gram = np.abs(rng.normal(size=300)) * 10.0 ** rng.integers(-150, 151, 300)
+        gram[:30] = 0.0  # an all-zero column: singular
+        b = rng.normal(size=300) * 10.0 ** rng.integers(-150, 151, 300)
+        for s in (1, 12, 2**53):  # s * eps >= 1 flags every system
+            lam, singular, coef = robust._solve(gram[None, :], b[None, :], s)
+            assert singular[:30].all() and singular.all() == (s == 2**53)
+            for k in range(300):
+                one = robust._solve(gram[k : k + 1], b[k : k + 1], s)
+                assert np.array_equal(one[0], lam[k]) and one[1] == singular[k]
+                assert one[2].tobytes() == coef[:, k].tobytes()
+
     def test_hard_threshold_is_the_stable_argsort_on_ties(self):
         rng = np.random.default_rng(950)
         for _ in range(200):
