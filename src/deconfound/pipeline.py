@@ -100,11 +100,10 @@ class DecorEstimate(robust.RobustFit):
 def _r_squared(y: np.ndarray, residuals: np.ndarray, e: int) -> float:
     """Coefficient of determination with centered sums of squares.
 
-    y and the residuals are first scaled by 2^-e, exactly, where e is y's
-    ``robust._scale_exponent``.  A least-squares fit's residuals stay within a small
+    y and the residuals are first scaled by 2^-e, exactly (``robust._rescaled``), where e is
+    y's ``robust._scale_exponent``.  A least-squares fit's residuals stay within a small
     multiple of y's largest magnitude, so no sum of squares leaves float range."""
-    if e:
-        y, residuals = np.ldexp(y, -e), np.ldexp(residuals, -e)
+    y, residuals = robust._rescaled(y, -e), robust._rescaled(residuals, -e)
     n = y.shape[0]
     dy = y - y.sum() / n
     dr = residuals - residuals.sum() / n

@@ -262,12 +262,12 @@ def torrent(
     refits were exhausted first.
 
     Each refit sums its normal equations by one product of the active row mask with the
-    ``_moments``, as ``bfs``'s screen and ``eta_condition`` do, and solves them by ``_solve``;
-    only a singular Gram matrix gathers the active rows, for ``lstsq``.  This rounds unlike
-    ``lstsq``: with noise the kept rows match and beta agrees to about 1e-12 relative, but
-    an exact fit's inlier residuals are rounding noise, so its kept rows may not.  x or y
-    whose largest magnitude leaves [2^-500, 2^500] is fitted scaled by a power of two
-    (``_scaled``), so the fit is the same at any finite scale.
+    ``_moments``, as ``bfs``'s screen and ``eta_condition`` do, and ``_solve`` solves them as
+    one system on the lines of a screen's stack; only a singular Gram matrix gathers the
+    active rows, for ``lstsq``.  This rounds unlike ``lstsq``: with noise the kept rows match
+    and beta agrees to about 1e-12 relative, but an exact fit's inlier residuals are rounding
+    noise, so its kept rows may not.  x or y whose largest magnitude leaves [2^-500, 2^500]
+    is fitted scaled by a power of two (``_scaled``), so the fit is the same at any finite scale.
 
     Parameters
     ----------
@@ -381,47 +381,46 @@ def _enumeration_count(n: int, size: int, cap) -> int:
     return count
 
 
-def _singular(lam: np.ndarray, s: int, d: int) -> np.ndarray:
-    """Stacks whose Gram rounding, about max(s, d) * eps * lam_max, reaches lam_min.
+def _singular(lam_min, lam_max, s: int, d: int):
+    """Whether G's rounding, about max(s, d) * eps * lam_max, reaches lam_min (Python floats or
+    arrays): the one singular rule, a superset of the sets ``_lstsq`` calls rank deficient."""
+    return lam_max * max(s, d) * _EPS >= lam_min
 
-    This flags a superset of the sets ``_lstsq`` calls rank deficient.
-    """
-    return lam[..., -1] * max(s, d) * _EPS >= lam[..., 0]
+
+def _hypot(u: float, v: float) -> float:
+    return abs(complex(u, v))
 
 
 def _solve(gram, b, s: int):
-    """Eigenvalues, ``_singular`` flag and G^-1 b of the normal equations G beta = b.
+    """Ascending eigenvalues, ``_singular`` flag and G^-1 b of the normal equations G beta = b.
 
-    ``gram`` is the symmetric d x d G row by row and ``b`` the right-hand side: 1-d arrays
-    for one system (a ``torrent`` refit; Python floats for d <= 2), or with one column per set
-    (a ``_screen`` chunk); ``lam`` ascends on its last axis, as from ``eigh``.  The one per-d
-    rule: one division for d = 1, the closed form of G for d = 2 (no LAPACK call), ``eigh``
-    beyond.  The closed form first divides G and b by lam_max, so no product leaves float range.
-    A singular G gets a finite but meaningless G^-1 b."""
+    ``gram`` is the symmetric d x d G row by row and ``b`` the right-hand side: 1-d for one system
+    (a ``torrent`` refit), a column per set for a stack (``_screen``).  Both run the same lines: a
+    division for d = 1, G's closed form for d = 2 (divided by lam_max first, so no product
+    overflows), ``eigh`` beyond.  For d <= 2 one system runs in Python floats, faster than numpy
+    scalars, with ``_hypot``: libm's hypot, as ``np.hypot``'s, so it gets its stacked column's bits
+    (``math.hypot`` rounds its own way).  A singular G gets a finite, meaningless G^-1 b."""
     d = len(b)
+    if d > 2:
+        lam, vec = np.linalg.eigh(np.moveaxis(gram, 0, -1).reshape(*gram.shape[1:], d, d))
+        singular = _singular(lam[..., 0], lam[..., -1], s, d)
+        proj = np.einsum("...ji,j...->...i", vec, b) / np.where(singular[..., None], 1.0, lam)
+        return lam, singular, np.einsum("...ij,...j->i...", vec, proj)
+    gs, bs, hypot = (gram, b, np.hypot) if gram.ndim > 1 else (gram.tolist(), b.tolist(), _hypot)
     if d == 1:  # a 1 x 1 Gram matrix is its own eigenvalue
-        lam = gram.T
-        if gram.ndim == 1:  # one system in Python floats, as for d = 2
-            (g,), (c,) = gram.tolist(), b.tolist()
-            singular = g * max(s, 1) * _EPS >= g  # _singular's rule
-            return lam, singular, np.array([c / (g + singular)])
-        singular = _singular(lam, s, 1)
-        return lam, singular, b / (gram[0] + singular)
-    if d == 2:  # one system's entries as Python floats, which compute faster than numpy's
-        (g11, g12, _, g22), (b1, b2) = (gram, b) if gram.ndim > 1 else (gram.tolist(), b.tolist())
-        lam_max = (g11 + g22) / 2 + np.hypot((g11 - g22) / 2, g12)
-        scale = lam_max + (lam_max == 0)  # an all-zero G stays zero, and singular
-        a11, a12, a22, c1, c2 = g11 / scale, g12 / scale, g22 / scale, b1 / scale, b2 / scale
-        ratio = a11 * a22 - a12 * a12
-        lam = np.array([ratio * lam_max, lam_max]).T
-        singular = _singular(lam, s, 2)
-        det = ratio + singular
-        coef = np.array([(a22 * c1 - a12 * c2) / det, (a11 * c2 - a12 * c1) / det])
-        return lam, singular, coef
-    lam, vec = np.linalg.eigh(np.moveaxis(gram, 0, -1).reshape(*gram.shape[1:], d, d))
-    singular = _singular(lam, s, d)
-    proj = np.einsum("...ji,j...->...i", vec, b) / np.where(singular[..., None], 1.0, lam)
-    return lam, singular, np.einsum("...ij,...j->i...", vec, proj)
+        g, c = gs[0], bs[0]
+        singular = _singular(g, g, s, 1)
+        return gram.T, singular, np.array([c / (g + singular)])
+    g11, g12, g22, b1, b2 = gs[0], gs[1], gs[3], bs[0], bs[1]
+    lam_max = (g11 + g22) / 2 + hypot((g11 - g22) / 2, g12)
+    scale = lam_max + (lam_max == 0)  # an all-zero G stays zero, and singular
+    a11, a12, a22, c1, c2 = g11 / scale, g12 / scale, g22 / scale, b1 / scale, b2 / scale
+    ratio = a11 * a22 - a12 * a12
+    lam_min = ratio * lam_max
+    singular = _singular(lam_min, lam_max, s, 2)
+    det = ratio + singular
+    coef = np.array([(a22 * c1 - a12 * c2) / det, (a11 * c2 - a12 * c1) / det])
+    return np.array([lam_min, lam_max]).T, singular, coef
 
 
 def _moments(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -279,29 +279,38 @@ class TestDecorFit:
 
 
 class TestTorrentSymmetries:
-    """Relations Torrent's estimate keeps when the data are reversed in time, their covariate
-    columns permuted, or one column negated.  Draws are continuous with pinned seeds, and
-    each fit's kept rows are checked to be no near-tie, so rounding cannot swap a row."""
+    """Relations an estimate keeps when the data are reversed in time, their covariate
+    columns permuted, or one column negated: Torrent's here, BFS's and OLS's in the
+    subclasses below.  Draws are continuous with pinned seeds, and each fit's kept rows are
+    checked to be no near-tie, so rounding cannot swap a row or pick another set."""
 
     RTOL = 1e-9
+    METHOD, SIZES = Method.TORRENT, (16, 64, 512)  # dense transforms, and pyramids above 256
 
-    @staticmethod
-    def draws(basis_kind, d):
-        for n in (16, 64, 512):  # dense transforms, and the DCT or Haar pyramid above 256
+    @classmethod
+    def draws(cls, basis_kind, d):
+        for n in cls.SIZES:
             for seed in range(4):
                 beta = (3.0, -1.0)[:d]
                 x, y, _ = generate(SimConfig(n=n, d=d, beta=beta, basis_kind=basis_kind, seed=seed))
                 yield x, y
 
-    @staticmethod
-    def fit(x, y, basis_kind):
-        est = decor_fit(x, y, DecorConfig(basis_kind=basis_kind, method=Method.TORRENT))
-        # the a-th and (a+1)-th smallest residuals of the final fit lie well apart
+    def fit(self, x, y, basis_kind):
+        est = decor_fit(x, y, DecorConfig(basis_kind=basis_kind, method=self.METHOD))
         n, d = x.shape
         xy = transform(np.column_stack([x, y]), build_basis(basis_kind, n))
-        v = np.sort(np.abs(xy[:, d] - xy[:, :d] @ est.beta))
         a = resolve_count(DecorConfig().a, n)
-        assert v[a] - v[a - 1] > 1e-6 * v[a]
+        if self.METHOD is Method.TORRENT:
+            # the a-th and (a+1)-th smallest residuals of the final fit lie well apart
+            v = np.sort(np.abs(xy[:, d] - xy[:, :d] @ est.beta))
+            assert v[a] - v[a - 1] > 1e-6 * v[a]
+        elif self.METHOD is Method.BFS:
+            # no other candidate set's least-squares score lies near the winner's
+            sets = candidate_sets_all_of_size(n, a) - 1
+            q, ys = np.linalg.qr(xy[sets, :d])[0], xy[sets, d]
+            resid = ys - np.einsum("csi,ci->cs", q, np.einsum("csi,cs->ci", q, ys))
+            scores = np.sort(np.einsum("cs,cs->c", resid, resid))
+            assert scores[1] - scores[0] > 1e-6 * scores[1]
         return est
 
     @staticmethod
@@ -353,6 +362,14 @@ class TestTorrentSymmetries:
                 expected[j] *= -1.0
                 self.assert_close(flipped.beta, expected)
                 assert np.array_equal(flipped.excluded_frequencies, base.excluded_frequencies)
+
+
+class TestBfsSymmetries(TestTorrentSymmetries):
+    METHOD, SIZES = Method.BFS, (8, 16)  # C(16, 12) = 1820 candidate sets at most
+
+
+class TestOlsSymmetries(TestTorrentSymmetries):
+    METHOD = Method.OLS_BASELINE
 
 
 class TestDecorConfig:
