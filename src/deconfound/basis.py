@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count, check_positive
+from .errors import ConfigurationError, check_count, check_positive, frozen
 
 DENSE_MAX_N = 256  # largest n transformed by a matrix product; see the module docstring
 
@@ -134,8 +134,10 @@ def _build_matrix(kind: BasisKind, n: int) -> np.ndarray:
     return m
 
 
-# at most 64 matrices of at most 256 x 256 doubles (512 KiB each) stay resident
-_small_matrix = lru_cache(maxsize=64)(_build_matrix)
+@lru_cache(maxsize=64)  # at most 64 matrices of at most 256 x 256 doubles (512 KiB each)
+def _small_matrix(kind: BasisKind, n: int) -> np.ndarray:
+    """The shared matrix of every ``BasisMatrix`` of (kind, n), frozen so none can write it."""
+    return frozen(_build_matrix(kind, n))
 
 
 def build_basis(kind: BasisKind, n: int) -> BasisMatrix:

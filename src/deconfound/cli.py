@@ -56,6 +56,19 @@ class InputFormatError(ValueError):
 # ---------------------------------------------------------------- CSV helpers
 
 
+def _read_text(path, what: str = "") -> str:
+    """The file's text, read as UTF-8, or ``InputFormatError`` naming the file (after
+    ``what``) and the offset of its first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputFormatError(
+            f"{what}{path}: not UTF-8: cannot decode byte 0x{data[e.start]:02x} at offset {e.start}"
+        ) from None
+
+
 def read_series_csv(path):
     """Read a ``t,x_1..x_d,y`` CSV; returns ``(t, x, y)`` with ``t`` possibly None.
 
@@ -63,15 +76,7 @@ def read_series_csv(path):
     read unlike the csv module and ``float()``, is read again row by row, which
     gives the same arrays or names the first bad row.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise InputFormatError(
-            f"{path}: not UTF-8: cannot decode byte 0x{data[e.start]:02x} at offset {e.start}"
-        ) from None
-    lines = io.StringIO(text, newline="")
+    lines = io.StringIO(_read_text(path), newline="")
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -378,8 +383,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
     JSON-pointer-style location, e.g. ``/methods/0/a``.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read_text(path, "experiment spec "))
     except json.JSONDecodeError as e:
         raise InputFormatError(f"experiment spec {path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):

@@ -1,8 +1,11 @@
-"""Exception types, and the one test for a real number, the one rule for a size or a count
-and the one for a scale or a tolerance, shared across the package."""
+"""Exception types, and the one test for a real number, the one rule for a size or a count,
+the one for a scale or a tolerance and the one way to freeze a shared array, used across
+the package."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -51,3 +54,9 @@ def check_positive(name: str, value: float) -> None:
     check_real(name, value)
     if not (value > 0 and math.isfinite(value)):
         raise ConfigurationError(f"{name} must be positive, got {value}")
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` copied onto an immutable buffer, so that no view of it can be made writable: the
+    rule for an array that a cache hands to every caller."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)

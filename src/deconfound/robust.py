@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FeasibilityError, check_count, is_real
+from .errors import FeasibilityError, check_count, frozen, is_real
 
 SUBSET_ENUMERATION_CAP = 10_000_000
-_CHUNK_SETS = 4096  # candidate sets fitted per batch; bounds the working memory
+_MASK_ENTRIES = 1 << 17  # the most entries of any 0/1 row mask built here: 1 MiB of float64
 _EPS = float(np.finfo(float).eps)  # a Python float, which one-system arithmetic keeps fast
 
 
@@ -326,14 +326,9 @@ def _subsets(n: int, size: int, chunk: int):
         yield sets
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` copied onto an immutable buffer, so that no view of it can be made writable."""
-    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
-
-
-# building the sets and bfs's row mask of them costs more than fitting them, so the
-# memo keeps (n, size) -> (sets, mask) for enumerations whose mask fits in 1 MiB, least
-# recently used first: 16 entries, so an enumeration of cap size never stays resident
+# building the sets and bfs's row mask of them costs more than fitting them, so the memo
+# keeps (n, size) -> (sets, mask) for enumerations whose whole mask fits in _MASK_ENTRIES,
+# least recently used first: 16 entries, so an enumeration of cap size never stays resident
 _memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 _memo_lock = threading.Lock()
 
@@ -345,7 +340,8 @@ def candidate_sets_all_of_size(
 
     Returns a read-only ``(C(n, size), size)`` integer array, one set per row.
     ``n``, ``size`` and ``cap`` are counts (``check_count``).  A repeated request for
-    sets whose ``_row_mask`` fits in 1 MiB returns the same array while it is among the last 16.
+    sets whose whole ``_row_mask`` fits in ``_MASK_ENTRIES`` returns the same array while it is
+    among the last 16; ``bfs`` screens that array with its memoised mask.
 
     Raises
     ------
@@ -357,13 +353,13 @@ def candidate_sets_all_of_size(
     if size > n:
         raise ValueError(f"size must lie in 1..{n}, got {size}")
     count = _enumeration_count(n, size, cap)
-    if count * n * 8 > 1 << 20:
+    if count * n > _MASK_ENTRIES:
         return next(_subsets(n, size, count))
     with _memo_lock:
         entry = _memo.pop((n, size), None)
         if entry is None:
             sets = next(_subsets(n, size, count))
-            entry = (_frozen(sets), _frozen(_row_mask(sets, n)))
+            entry = (frozen(sets), frozen(_row_mask(sets, n)))
             if len(_memo) >= 16:
                 del _memo[next(iter(_memo))]
         _memo[n, size] = entry
@@ -445,17 +441,17 @@ def _screen(
     """Bounds ``(score - slack, score + slack)`` on each set's ``bfs`` score: its ``ols`` fit's.
 
     ``moments`` is ``_moments(x, y)`` and ``sets`` the one (C, s) array of 1-based sets
-    that ``bfs`` takes; ``mask``, if given, is its whole ``_row_mask``, else each chunk's
-    is built.  The product of a chunk's ``_row_mask`` with the moments gives
-    every set S its Gram matrix G, b = X_S^T y_S and ||y_S||^2 as direct sums, not
-    downdates, so ``_singular`` keeps its per-set scale.  The score is
-    ``(||y_S||^2 - b^T G^-1 b) / s``, with G^-1 b from ``_solve``.  That form cancels: over
+    that ``bfs`` takes; ``mask``, if given, is its whole ``_row_mask``, else the mask of
+    each chunk of ``_MASK_ENTRIES // n`` sets (at least one) is built.  The product of a
+    chunk's mask with the moments gives every set S its Gram matrix G, b = X_S^T y_S and
+    ||y_S||^2 as direct sums, not downdates, so ``_singular`` keeps its per-set scale.  The
+    score is ``(||y_S||^2 - b^T G^-1 b) / s``, with G^-1 b from ``_solve``.  That form cancels: over
     d = 1-3, ill-conditioned designs included, it was measured within about
     7 * eps * cond(G) * ||y_S||^2 / s of the residual of the set's ``lstsq`` fit, and the
     slack is 16 times that scale.  A set that ``_singular`` flags gets bounds of -inf and inf.
     """
     n, s = moments.shape[0], sets.shape[1]
-    step = max(1, _CHUNK_SETS * s // n)  # a mask chunk holds no more entries than a gathered one
+    step = max(1, _MASK_ENTRIES // n)
     lo, hi = [], []
     for start in range(0, len(sets), step):
         chunk = slice(start, start + step)
@@ -530,7 +526,8 @@ def eta_condition(problem: RegressionProblem, a: int, inliers: Sequence[int]) ->
     maximum.  Values below ``1/sqrt(2)`` certify recovery for the iterative
     hard-thresholding estimator.  Returns ``inf`` if any subset design is
     singular (``_singular``).  Raises ``FeasibilityError`` when C(n, a) exceeds
-    ``SUBSET_ENUMERATION_CAP``.
+    ``SUBSET_ENUMERATION_CAP``.  The subsets are streamed ``_MASK_ENTRIES // n`` at a time
+    (at least one), and the Gram matrices of each chunk summed as ``bfs``'s screen sums them.
 
     This needs the true inlier set, so it is a simulation-only diagnostic.
     """
@@ -544,7 +541,7 @@ def eta_condition(problem: RegressionProblem, a: int, inliers: Sequence[int]) ->
     x, y, _, _ = _scaled(problem)
     moments = _moments(x, y).T
     worst = 0.0
-    for sets in _subsets(n, a_count, _CHUNK_SETS):
+    for sets in _subsets(n, a_count, max(1, _MASK_ENTRIES // n)):
         mask = _row_mask(sets, n)
         sums = moments @ mask.T  # a column per set, as in _screen
         lam, singular, _ = _solve(sums[: d * d], sums[d * d : -1], a_count)

@@ -91,6 +91,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             b.matrix[0, 0] = 2.0
 
+    @pytest.mark.parametrize(
+        "kind, n",
+        [(BasisKind.COSINE, n) for n in (1, 8, 100, 256)]
+        + [(BasisKind.HAAR, n) for n in (1, 8, 256)],
+    )
+    def test_shared_matrix_cannot_be_made_writable(self, kind, n):
+        # up to 256 points one array serves every basis of (kind, n), so a write would reach all
+        v = np.arange(float(n))
+        want = transform(v, build_basis(kind, n))
+        m = build_basis(kind, n).matrix
+        for array in (m, m.base):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+        assert transform(v, build_basis(kind, n)).tobytes() == want.tobytes()
+
 
 class TestTransform:
     def test_constant_series_hits_first_component(self):

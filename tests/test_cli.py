@@ -469,6 +469,15 @@ class TestSpecErrors:
             "(Expecting value: line 1 column 1 (char 0))\n",
         )
 
+    def test_non_utf8_file_names_path_and_offset(self, tmp_path, capsys):
+        spec_path, out = tmp_path / "spec.json", tmp_path / "o.csv"
+        spec_path.write_bytes('{"n_grid": [8], "sim": {"basis": "cosiné"}}'.encode("latin-1"))
+        assert run_cli("experiment", "--spec", spec_path, "--out", out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: experiment spec {spec_path}: not UTF-8: cannot decode byte 0xe9 at offset 39\n"
+        )
+
     @pytest.mark.parametrize("doc, message", NEW_SPEC_ERRORS.values(), ids=NEW_SPEC_ERRORS)
     def test_rejected_at_load(self, tmp_path, capsys, doc, message):
         assert self.run_spec(tmp_path, capsys, doc) == (2, f"error: experiment spec{message}\n")

@@ -280,9 +280,10 @@ class TestDecorFit:
 
 class TestTorrentSymmetries:
     """Relations an estimate keeps when the data are reversed in time, their covariate
-    columns permuted, or one column negated: Torrent's here, BFS's and OLS's in the
-    subclasses below.  Draws are continuous with pinned seeds, and each fit's kept rows are
-    checked to be no near-tie, so rounding cannot swap a row or pick another set."""
+    columns permuted, one column negated, or the columns mixed by an invertible matrix:
+    Torrent's here, BFS's and OLS's in the subclasses below.  Draws are continuous with
+    pinned seeds, and each fit's kept rows are checked to be no near-tie, so rounding cannot
+    swap a row or pick another set."""
 
     RTOL = 1e-9
     METHOD, SIZES = Method.TORRENT, (16, 64, 512)  # dense transforms, and pyramids above 256
@@ -362,6 +363,18 @@ class TestTorrentSymmetries:
                 expected[j] *= -1.0
                 self.assert_close(flipped.beta, expected)
                 assert np.array_equal(flipped.excluded_frequencies, base.excluded_frequencies)
+
+    @pytest.mark.parametrize("basis_kind", [BasisKind.COSINE, BasisKind.HAAR])
+    def test_invertible_reparametrisation(self, basis_kind):
+        # x -> x A with A invertible and well conditioned gives beta -> A^-1 beta; a robust
+        # fit excludes the same rows, and OLS excludes none
+        mix = np.array([[2.0, 1.0], [-0.5, 1.5]])
+        for x, y in self.draws(basis_kind, 2):
+            base = self.fit(x, y, basis_kind)
+            mixed = self.fit(x @ mix, y, basis_kind)
+            self.assert_close(mixed.beta, np.linalg.solve(mix, base.beta))
+            if self.METHOD is not Method.OLS_BASELINE:
+                assert np.array_equal(mixed.excluded_frequencies, base.excluded_frequencies)
 
 
 class TestBfsSymmetries(TestTorrentSymmetries):

@@ -626,7 +626,7 @@ class TestBfsKernel:
         exact = [i for i, s in enumerate(sets.tolist()) if not {2, 7} & set(s)]
         assert len({i // 7 for i in exact}) > 1  # the tie spans several chunks of 7
         whole = bfs(p, sets)
-        monkeypatch.setattr(robust, "_CHUNK_SETS", 7)
+        monkeypatch.setattr(robust, "_MASK_ENTRIES", 7 * 10)  # chunks of 7 sets at n = 10
         chunked = bfs(p, sets)
         assert list(chunked.inliers) == list(whole.inliers) == [1, 3, 4, 5, 6, 8]
         assert np.array_equal(chunked.beta, whole.beta)
@@ -915,9 +915,64 @@ class TestBfsMemo:
 
         monkeypatch.setattr(robust, "_row_mask", counted_row_mask)
         bfs(p, sets)
-        assert sum(masked) == len(sets) and max(masked) == robust._CHUNK_SETS * 2 // 200
+        assert sum(masked) == len(sets) and max(masked) == robust._MASK_ENTRIES // 200
         monkeypatch.undo()
         self.assert_same_fit(p, sets)
+
+
+class TestMaskBound:
+    """Every 0/1 row mask that ``bfs`` or ``eta_condition`` builds holds at most
+    ``_MASK_ENTRIES`` entries, or is a single row when n exceeds the bound."""
+
+    @staticmethod
+    def counted_masks(monkeypatch):
+        shapes, row_mask = [], robust._row_mask  # the (sets, n) shape of each mask built
+
+        def counted_row_mask(sets, n):
+            mask = row_mask(sets, n)
+            shapes.append(mask.shape)
+            return mask
+
+        monkeypatch.setattr(robust, "_row_mask", counted_row_mask)
+        return shapes
+
+    @staticmethod
+    def assert_bounded(shapes, total):
+        assert sum(rows for rows, _ in shapes) == total  # every set masked once
+        assert all(rows * n <= robust._MASK_ENTRIES or rows == 1 for rows, n in shapes)
+        assert max(rows for rows, _ in shapes) == max(1, robust._MASK_ENTRIES // shapes[0][1])
+
+    def test_bfs_on_a_copy_of_an_enumeration(self, monkeypatch):
+        sets = np.array(candidate_sets_all_of_size(400, 2))
+        rng = np.random.default_rng(21)
+        p = RegressionProblem(rng.normal(size=400), rng.normal(size=400))
+        shapes = self.counted_masks(monkeypatch)
+        fit = bfs(p, sets)
+        self.assert_bounded(shapes, len(sets))
+        monkeypatch.undo()
+        assert list(fit.inliers) == list(residual_kernel_winner(p, sets))
+
+    def test_eta_condition(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        p = RegressionProblem(rng.normal(size=200), rng.normal(size=200))
+        inliers = np.arange(1, 181)
+        want = eta_condition(p, 2, inliers)
+        shapes = self.counted_masks(monkeypatch)
+        assert eta_condition(p, 2, inliers) == want
+        self.assert_bounded(shapes, math.comb(200, 2))
+
+    def test_one_set_per_mask_when_a_row_exceeds_the_bound(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        p = RegressionProblem(rng.normal(size=(40, 2)), rng.normal(size=40))
+        sets, inliers = np.array(candidate_sets_all_of_size(40, 2)), np.arange(1, 31)
+        want = bfs(p, sets), eta_condition(p, 2, inliers)
+        monkeypatch.setattr(robust, "_MASK_ENTRIES", 39)
+        shapes = self.counted_masks(monkeypatch)
+        got = bfs(p, sets), eta_condition(p, 2, inliers)
+        assert shapes == [(1, 40)] * (2 * len(sets))
+        assert np.array_equal(got[0].inliers, want[0].inliers)
+        assert got[0].beta.tobytes() == want[0].beta.tobytes()
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
 
 
 class TestCandidateSets:
@@ -993,7 +1048,7 @@ class TestEtaCondition:
     @pytest.mark.parametrize("chunk", [None, 5, 7])
     def test_matches_loop_reference(self, chunk, monkeypatch):
         if chunk:
-            monkeypatch.setattr(robust, "_CHUNK_SETS", chunk)
+            monkeypatch.setattr(robust, "_MASK_ENTRIES", chunk * 9)  # chunks of that many sets
         for seed in range(12):
             rng = np.random.default_rng(800 + seed)
             n, d = 9, 1 + seed % 3
@@ -1018,7 +1073,7 @@ class TestEtaCondition:
 
     def test_subsets_are_streamed_not_stored(self, monkeypatch):
         # peak memory stays far below one (C(n, a), a) array of the subsets
-        monkeypatch.setattr(robust, "_CHUNK_SETS", 64)
+        monkeypatch.setattr(robust, "_MASK_ENTRIES", 64 * 18)  # chunks of 64 sets
         rng = np.random.default_rng(13)
         n, a = 18, 9
         p = RegressionProblem(rng.normal(size=(n, 2)), rng.normal(size=n))
