@@ -57,12 +57,12 @@ class InputFormatError(ValueError):
 
 
 def _read_text(path, what: str = "") -> str:
-    """The file's text, read as UTF-8, or ``InputFormatError`` naming the file (after
-    ``what``) and the offset of its first byte that is not UTF-8."""
+    """The file's text, read as UTF-8 less one leading byte-order mark, or ``InputFormatError``
+    naming the file (after ``what``) and the file offset of its first byte that is not UTF-8."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return data.decode("utf-8")
+    try:  # not "utf-8-sig", whose error offsets count from after the mark
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise InputFormatError(
             f"{what}{path}: not UTF-8: cannot decode byte 0x{data[e.start]:02x} at offset {e.start}"

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from typing import Sequence
 
@@ -151,13 +151,13 @@ def _index_sets(values, what: str, ndim: int = 1, n: int | None = None, error=Va
     return sets
 
 
-def _fit_result(problem, beta, inliers, method, iterations=0, converged=True):
-    """A ``RobustFit`` with the residual norm of ``beta`` on the 1-based ``inliers``, taken
-    at the problem's fitting scale (``_scaled``), so that it cannot overflow."""
+def _fit_result(problem, beta, inliers, method):
+    """A one-shot ``RobustFit`` with the residual norm of ``beta`` on the 1-based ``inliers``,
+    taken at the problem's fitting scale (``_scaled``), so that it cannot overflow."""
     x, y, ex, ey = _scaled(problem)
     rows = inliers - 1
     residual_norm = float(np.linalg.norm(y[rows] - x[rows] @ _rescaled(beta, ex - ey)))
-    return RobustFit(beta, inliers, iterations, _rescaled(residual_norm, ey), converged, method)
+    return RobustFit(beta, inliers, 0, _rescaled(residual_norm, ey), True, method)
 
 
 def _scale_exponent(top: float) -> int:
@@ -326,22 +326,15 @@ def _subsets(n: int, size: int, chunk: int):
         yield sets
 
 
-# building the sets and bfs's row mask of them costs more than fitting them, so the memo
-# keeps (n, size) -> (sets, mask) for enumerations whose whole mask fits in _MASK_ENTRIES,
-# least recently used first: 16 entries, so an enumeration of cap size never stays resident
-_memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-_memo_lock = threading.Lock()
-
-
 def candidate_sets_all_of_size(
     n: int, size: int, cap: int = SUBSET_ENUMERATION_CAP
 ) -> np.ndarray:
     """All subsets of {1, ..., n} of the given size, in lexicographic order.
 
     Returns a read-only ``(C(n, size), size)`` integer array, one set per row.
-    ``n``, ``size`` and ``cap`` are counts (``check_count``).  A repeated request for
-    sets whose whole ``_row_mask`` fits in ``_MASK_ENTRIES`` returns the same array while it is
-    among the last 16; ``bfs`` screens that array with its memoised mask.
+    ``n``, ``size`` and ``cap`` are counts (``check_count``).  Sets that the memo rule admits
+    (``_memo_entry``) come from the memo: a repeated request returns the same array while
+    it is among the last 16 used; ``bfs`` screens that array with its memoised mask.
 
     Raises
     ------
@@ -353,17 +346,22 @@ def candidate_sets_all_of_size(
     if size > n:
         raise ValueError(f"size must lie in 1..{n}, got {size}")
     count = _enumeration_count(n, size, cap)
-    if count * n > _MASK_ENTRIES:
-        return next(_subsets(n, size, count))
-    with _memo_lock:
-        entry = _memo.pop((n, size), None)
-        if entry is None:
-            sets = next(_subsets(n, size, count))
-            entry = (frozen(sets), frozen(_row_mask(sets, n)))
-            if len(_memo) >= 16:
-                del _memo[next(iter(_memo))]
-        _memo[n, size] = entry
-    return entry[0]
+    entry = _memo_entry(n, size, count)
+    return entry[0] if entry else next(_subsets(n, size, count))
+
+
+def _memo_entry(n: int, size: int, count: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The memo's sets and ``_row_mask`` of the size-subsets of 1..n if ``count`` is their number
+    and their whole mask, count x n, fits in ``_MASK_ENTRIES`` (the memo rule), else None."""
+    memoised = 1 <= size <= n and count == math.comb(n, size) and count * n <= _MASK_ENTRIES
+    return _enumeration(n, size) if memoised else None
+
+
+@lru_cache(maxsize=16)  # at most 16 x 2 MiB: a mask fits in _MASK_ENTRIES, and so do its sets
+def _enumeration(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The memo of ``_memo_entry``: building sets and mask costs more than fitting the sets."""
+    sets = next(_subsets(n, size, math.comb(n, size)))
+    return frozen(sets), frozen(_row_mask(sets, n))
 
 
 def _enumeration_count(n: int, size: int, cap) -> int:
@@ -489,15 +487,16 @@ def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> 
     order, by ``ols``'s ``lstsq`` and scored by their residuals; the tie rule picks
     among these fits, and ``bfs`` returns the one it picked.  Errors are >= 0, so a
     first set within the tolerance of 0 wins at once and no other set is fitted.
-    The memo's own array from ``candidate_sets_all_of_size(n, s)`` is screened
-    unchecked with its memoised mask; any other array, an equal copy included, is
-    checked and masked a chunk at a time.  x and y are scaled as in ``torrent``.
+    An array of C(n, s) sets of size s that the memo rule admits is looked up (a use of its
+    entry): only the memo's own array is screened unchecked, with its memoised mask.  Any other,
+    an equal copy too, is checked and masked a chunk at a time.  x, y scale as in ``torrent``.
     """
     n, d = problem.n, problem.d
     x, y, ex, ey = _scaled(problem)
-    # the memo's own array for this n meets the index-set rule by construction
-    own = [entry for (m, _), entry in list(_memo.items()) if m == n and entry[0] is candidate_sets]
-    sets, mask = own[0] if own else (_index_sets(candidate_sets, "candidate set", 2, n), None)
+    count, s = candidate_sets.shape if getattr(candidate_sets, "ndim", 0) == 2 else (0, 0)
+    entry = _memo_entry(n, s, count)
+    own = entry and entry[0] is candidate_sets  # the memo's own array meets the index-set rule
+    sets, mask = entry if own else (_index_sets(candidate_sets, "candidate set", 2, n), None)
     if not len(sets):
         raise ValueError("candidate_sets must be non-empty")
     lo, hi = _screen(_moments(x, y), sets, d, mask)

@@ -197,12 +197,21 @@ class TestFit:
         )
 
     def test_non_utf8_file_names_path_and_offset(self, tmp_path, capsys):
+        # the offset is the bad byte's in the file, a leading byte-order mark counted
         bad = tmp_path / "latin1.csv"
-        bad.write_bytes("t,x_1,y\n0.1,1.0,2.0\n0.2,\xff1.5,3.0\n".encode("latin-1"))
-        assert run_cli("fit", "--input", bad) == 2
-        assert capsys.readouterr().err == (
-            f"error: {bad}: not UTF-8: cannot decode byte 0xff at offset 24\n"
-        )
+        for mark, offset in (b"", 24), (b"\xef\xbb\xbf", 27):
+            bad.write_bytes(mark + "t,x_1,y\n0.1,1.0,2.0\n0.2,\xff1.5,3.0\n".encode("latin-1"))
+            assert run_cli("fit", "--input", bad) == 2
+            assert capsys.readouterr().err == (
+                f"error: {bad}: not UTF-8: cannot decode byte 0xff at offset {offset}\n"
+            )
+
+    def test_byte_order_mark_is_ignored(self, sim_csv, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + sim_csv.read_bytes())
+        for path, out in ((sim_csv, "plain.json"), (marked, "marked.json")):
+            assert run_cli("fit", "--input", path, "--out", tmp_path / out) == 0
+        assert (tmp_path / "marked.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_misnamed_covariate_column_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -316,6 +325,12 @@ class TestExperiment:
         assert lines[0] == "n,method,sigma_eta2,conf_prob,mae,mae_stderr,mean_iter,max_iter,failed"
         assert len(lines) == 1 + 4
         assert (tmp_path / "rows.csv.replicates.csv").exists()
+        # a copy of the spec that starts with a byte-order mark writes the same files
+        spec_path.write_bytes(b"\xef\xbb\xbf" + spec_path.read_bytes())
+        assert run_cli("experiment", "--spec", spec_path, "--out", tmp_path / "marked.csv") == 0
+        for name in "rows.csv", "rows.csv.replicates.csv":
+            marked = tmp_path / name.replace("rows", "marked")
+            assert marked.read_bytes() == (tmp_path / name).read_bytes()
 
     def test_schema_error_pointer(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"
@@ -595,10 +610,11 @@ class TestUsage:
 
 
 def _reference_read_series_csv(path):
-    """The row-by-row reader ``read_series_csv`` replaced: one ``float()`` per cell, in file order."""
+    """The row-by-row reader ``read_series_csv`` replaced: one ``float()`` per cell, in file order.
+    Like it, it drops one leading byte-order mark."""
     from deconfound.cli import InputFormatError
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -692,6 +708,8 @@ CSV_CASES = {
     "quoted cell holding a newline": 't,x_1,y\n0.1,"1\n0",2.0\n',
     "quoted cell ending in a newline": 't,x_1,y\n0.1,"1\n",2.0\n',
     "cr line endings": "t,x_1,y\r0.1,1.0,2.0\r0.2,1.5,3.0\r",
+    "byte-order mark": "\ufefft,x_1,y\n0.1,1.0,2.0\n",
+    "two byte-order marks": "\ufeff\ufefft,x_1,y\n0.1,1.0,2.0\n",
     "nul in a cell": "t,x_1,y\n0.1,1\x000,2.0\n",
     "nul after a cell": "t,x_1,y\n0.1,1.0\x00,2.0\n",
     # the csv module rejects a field longer than its limit, also one that spans lines

@@ -1,8 +1,11 @@
 """Robust regression: least squares, hard thresholding, torrent, exhaustive search."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +21,9 @@ from deconfound import (
     SimConfig,
     bfs,
     candidate_sets_all_of_size,
+    decor_fit,
     eta_condition,
+    generate,
     hard_threshold,
     ols,
     resolve_count,
@@ -855,19 +860,21 @@ class TestBfsMemo:
             assert fit.beta.tobytes() == ols(p, fit.inliers).tobytes()
             assert fit.residual_norm == np.linalg.norm(p.y[rows] - p.x[rows] @ fit.beta)
 
-    def test_table1_and_haar_d2_cycle(self):
+    def test_table1_and_haar_d2_cycle(self, monkeypatch):
         calls = table1_and_haar_bfs_calls()
         assert len(calls) == 560
         for p, sets in calls:
             n, size = p.n, sets.shape[1]
-            assert sets is candidate_sets_all_of_size(n, size)
-            assert robust._memo[n, size][1] is not None  # screened with the memoised mask
+            assert sets is candidate_sets_all_of_size(n, size) is robust._enumeration(n, size)[0]
             self.assert_same_fit(p, sets)
+            with monkeypatch.context() as m:
+                m.setattr(robust, "_row_mask", None)  # screened with the memoised mask: none built
+                bfs(p, sets)
 
     def test_memoised_mask_is_the_row_mask_of_its_sets(self):
         for n, size in ((10, 6), (11, 7), (12, 9), (8, 3), (16, 12), (16, 4)):
-            candidate_sets_all_of_size(n, size)
-        for (n, size), (sets, mask) in robust._memo.items():
+            sets, mask = robust._enumeration(n, size)
+            assert sets is candidate_sets_all_of_size(n, size)
             assert sets.shape == (math.comb(n, size), size)
             assert np.array_equal(mask, robust._row_mask(sets, n))
 
@@ -889,6 +896,56 @@ class TestBfsMemo:
         self.assert_same_fit(p, sets)
         assert list(bfs(p, sets).inliers) == list(listed_bfs_oracle(p.x, p.y, sets)[0])
 
+    def test_threads_share_the_memo(self):
+        # 4 threads, more than the 2 cores of a CI runner; one clears the memo each round, so
+        # threads race on misses, and a thread handed an array the memo did not keep must
+        # take the checked path to the same fit
+        cases = []
+        for seed in (1, 2):
+            for n in (8, 12, 16):
+                x, y, _ = generate(SimConfig(n=n, beta=3.0, sigma_eta2=1.0, seed=seed))
+                cases.append((x, y, DecorConfig(method=Method.BFS, a=0.7)))
+            for n in (8, 16):
+                sim = SimConfig(n=n, d=2, basis_kind="haar", sigma_eta2=1.0, seed=seed)
+                x, y, _ = generate(sim)
+                cases.append((x, y, DecorConfig(basis_kind="haar", method=Method.BFS, a=0.7)))
+        sizes = [(len(y), resolve_count(0.7, len(y))) for _, y, _ in cases]
+
+        def run(clears):
+            fits, sets = [], []
+            for _ in range(6):
+                if clears:
+                    robust._enumeration.cache_clear()
+                for (x, y, config), (n, size) in zip(cases, sizes):
+                    fit = decor_fit(x, y, config)
+                    fits.append((fit.inliers.tobytes(), fit.beta.tobytes()))
+                    sets.append(candidate_sets_all_of_size(n, size).tobytes())
+            return fits, sets
+
+        def started_together(clears):
+            barrier.wait(timeout=10)
+            return run(clears)
+
+        serial = run(False)
+        barrier, switch = threading.Barrier(4), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(started_together, k == 0) for k in range(4)]
+                assert [f.result(timeout=120) for f in futures] == [serial] * 4
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_memo_array_of_another_n_builds_no_memo_entry(self):
+        robust._enumeration.cache_clear()
+        sets = candidate_sets_all_of_size(10, 6)  # C(10, 6) = 210 rows, not C(12, 6) = 924
+        p, _, _ = planted_instance(np.random.default_rng(6), n=12, d=2, n_out=3)
+        before = robust._enumeration.cache_info()
+        bfs(p, sets)
+        bfs(p, np.array(sets))
+        after = robust._enumeration.cache_info()
+        assert after.currsize == before.currsize == 1 and after.misses == before.misses
+
     def test_bad_arrays_of_the_memo_shape_rejected(self):
         p = RegressionProblem(np.arange(1.0, 7.0), np.arange(1.0, 7.0))
         sets = candidate_sets_all_of_size(6, 3)
@@ -902,9 +959,9 @@ class TestBfsMemo:
 
     def test_a_mask_too_large_to_memoise_is_built_per_chunk(self, monkeypatch):
         # C(200, 2) sets take 0.3 MiB but their mask 30 MiB, so neither is memoised
+        before = robust._enumeration.cache_info()
         sets = candidate_sets_all_of_size(200, 2)
-        assert (200, 2) not in robust._memo and not sets.flags.writeable
-        assert sets is not candidate_sets_all_of_size(200, 2)
+        assert not sets.flags.writeable and sets is not candidate_sets_all_of_size(200, 2)
         rng = np.random.default_rng(7)
         p = RegressionProblem(rng.normal(size=200), rng.normal(size=200))
         masked, row_mask = [], robust._row_mask  # the number of sets in each mask bfs builds
@@ -916,6 +973,7 @@ class TestBfsMemo:
         monkeypatch.setattr(robust, "_row_mask", counted_row_mask)
         bfs(p, sets)
         assert sum(masked) == len(sets) and max(masked) == robust._MASK_ENTRIES // 200
+        assert robust._enumeration.cache_info() == before  # neither built nor looked up
         monkeypatch.undo()
         self.assert_same_fit(p, sets)
 
@@ -978,7 +1036,8 @@ class TestMaskBound:
 class TestCandidateSets:
     def test_memoised_arrays_cannot_be_made_writable(self):
         sets = candidate_sets_all_of_size(6, 3)
-        mask = robust._memo[6, 3][1]
+        memo_sets, mask = robust._enumeration(6, 3)
+        assert memo_sets is sets
         for array in (sets, mask, sets.base, mask.base):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="WRITEABLE"):
@@ -988,15 +1047,21 @@ class TestCandidateSets:
         ]
 
     def test_memo_keeps_sixteen_entries_least_recently_used_first(self):
-        robust._memo.clear()
-        kept = candidate_sets_all_of_size(5, 2)
-        for n in range(6, 22):
+        robust._enumeration.cache_clear()
+        kept, evicted = candidate_sets_all_of_size(5, 2), candidate_sets_all_of_size(6, 2)
+        used_by_bfs = candidate_sets_all_of_size(7, 2)
+        for n in range(8, 23):
             candidate_sets_all_of_size(n, 2)
             if n == 12:
                 assert candidate_sets_all_of_size(5, 2) is kept  # used again: kept longer
-        assert len(robust._memo) == 16
-        assert (5, 2) in robust._memo and (6, 2) not in robust._memo
+            if n == 14:  # so is a bfs lookup
+                bfs(RegressionProblem(np.arange(7.0), np.ones(7)), used_by_bfs)
+        info = robust._enumeration.cache_info()
+        assert info.currsize == info.maxsize == 16 and info.misses == 18  # (6, 2), (8, 2) evicted
         assert candidate_sets_all_of_size(5, 2) is kept
+        assert candidate_sets_all_of_size(7, 2) is used_by_bfs
+        assert robust._enumeration.cache_info().misses == 18
+        assert candidate_sets_all_of_size(6, 2) is not evicted
 
     def test_readonly_lexicographic_array(self):
         for n, size in ((7, 3), (18, 9), (5, 5)):  # (18, 9) is too large to memoise
