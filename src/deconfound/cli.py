@@ -451,8 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
     p.add_argument("--sigma2", dest="sigma_eta2", type=float, help="response noise variance")
     p.add_argument("--conf-prob", type=float)
-    p.add_argument("--dense-u-noise", dest="dense_u_noise_std", type=float)
-    p.add_argument("--horizon", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output data CSV path")
     p.add_argument("--truth", default=None, help="ground-truth JSON path (default: <out>.truth.json)")

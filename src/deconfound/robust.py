@@ -262,12 +262,12 @@ def torrent(
     refits were exhausted first.
 
     Each refit sums its normal equations by one product of the active row mask with the
-    ``_moments``, as ``bfs``'s screen and ``eta_condition`` do, and ``_solve`` solves them as
-    one system on the lines of a screen's stack; only a singular Gram matrix gathers the
-    active rows, for ``lstsq``.  This rounds unlike ``lstsq``: with noise the kept rows match
-    and beta agrees to about 1e-12 relative, but an exact fit's inlier residuals are rounding
-    noise, so its kept rows may not.  x or y whose largest magnitude leaves [2^-500, 2^500]
-    is fitted scaled by a power of two (``_scaled``), so the fit is the same at any finite scale.
+    ``_moments``, as ``bfs``'s screen and ``eta_condition`` do, and ``_solve`` solves them as one
+    system on the lines of a screen's stack; only a singular Gram matrix gathers the active rows,
+    for ``lstsq``.  Beta is off the exact fit of its kept rows by about eps cond(X)^2 relative,
+    within 1e-12 up to cond(X) ~ 40 (ROADMAP item 14); an exact fit's kept rows, picked by rounding
+    noise, may differ from ``lstsq``'s.  x or y whose largest magnitude leaves [2^-500, 2^500] is
+    fitted scaled by a power of two (``_scaled``), so the fit is the same at any finite scale.
 
     Parameters
     ----------

@@ -71,8 +71,9 @@ class TestConstruction:
         assert ok, f"n=2^{m} deviation {dev}"
 
     def test_haar_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigurationError, match="power of two"):
-            build_basis(BasisKind.HAAR, 24)
+        for kind in BasisKind.HAAR, "haar":
+            with pytest.raises(ConfigurationError, match="power of two"):
+                build_basis(kind, 24)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -179,6 +180,12 @@ class TestTransform:
             transform(np.zeros(7), b)
         with pytest.raises(ValueError):
             inverse_transform(np.zeros((9, 2)), b)
+        # above 256 points the DCT takes any length, so only the row check rejects these
+        b = build_basis(BasisKind.COSINE, 512)
+        for rows in 511, 513:
+            for apply in transform, inverse_transform:
+                with pytest.raises(ValueError, match="must have 512 rows"):
+                    apply(np.zeros(rows), b)
 
 
 class TestDiagnostics:
@@ -208,6 +215,12 @@ class TestFastTransforms:
             for fast, dense in [(transform(v, b), m.T @ v / n), (inverse_transform(v, b), m @ v)]:
                 assert fast.shape == dense.shape
                 assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_kind_given_by_name(self):
+        # a kind given by its name is that kind: above 256 points a transform reads the kind
+        v = np.random.default_rng(5).normal(size=(512, 2))
+        want = transform(v, build_basis(BasisKind.COSINE, 512))
+        assert transform(v, build_basis("cosine", 512)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", [BasisKind.COSINE, BasisKind.HAAR])
     def test_fit_at_4096_forms_no_dense_matrix(self, kind):

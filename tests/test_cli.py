@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import random
+import re
 import warnings
 from pathlib import Path
 
@@ -45,7 +46,9 @@ class TestSimulate:
             lines = fh.read().splitlines()
         assert lines[0] == "t,x_1,y"
         assert len(lines) == 129
-        truth = json.loads((sim_csv.parent / "data.csv.truth.json").read_text())
+        text = (sim_csv.parent / "data.csv.truth.json").read_text()
+        assert text.endswith("}\n")
+        truth = json.loads(text)
         assert truth["schema_version"] == "1"
         assert truth["seed"] == 42
         assert all(1 <= k <= 128 for k in truth["g_set"])
@@ -64,8 +67,19 @@ class TestSimulate:
         assert code == 2
 
     def test_random_seed_announced(self, tmp_path, capsys):
-        assert run_cli("simulate", "--n", "16", "--out", tmp_path / "r.csv") == 0
-        assert "seed" in capsys.readouterr().out
+        # the drawn seed is printed and recorded, and a rerun with it writes the same file
+        drawn, again = tmp_path / "r.csv", tmp_path / "again.csv"
+        assert run_cli("simulate", "--n", "16", "--out", drawn) == 0
+        out = capsys.readouterr().out
+        seed = int(re.search(r"^seed not given; using seed=(\d+)$", out, re.M)[1])
+        assert json.loads(Path(f"{drawn}.truth.json").read_text())["seed"] == seed
+        assert run_cli("simulate", "--n", "16", "--seed", seed, "--out", again) == 0
+        assert again.read_bytes() == drawn.read_bytes()
+
+    def test_truth_names_the_basis(self, tmp_path):
+        out = tmp_path / "haar.csv"
+        assert run_cli("simulate", "--basis", "haar", "--n", "16", "--seed", "2", "--out", out) == 0
+        assert json.loads(Path(f"{out}.truth.json").read_text())["basis"] == "haar"
 
     def test_two_covariates_round_trip(self, tmp_path):
         out = tmp_path / "d2.csv"
@@ -110,11 +124,12 @@ class TestFit:
             errs.append(abs(json.loads(dest.read_text())["beta"][0] - 3.0))
         assert np.mean(errs) > 0.05
 
-    def test_bfs_infeasible_exit_code(self, tmp_path):
+    def test_bfs_infeasible_exit_code(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         run_cli("simulate", "--n", "30", "--seed", "1", "--out", out)
-        code = run_cli("fit", "--input", out, "--method", "bfs", "--a", "0.5")
-        assert code == 4
+        for cap in [], ["--bfs-cap", "7"]:
+            assert run_cli("fit", "--input", out, "--method", "bfs", "--a", "0.5", *cap) == 4
+            assert capsys.readouterr().err.startswith("error: C(")
 
     @pytest.mark.parametrize("a, kept", [(1, 1), (1.0, 128), (0.7, 90), (5, 5)])
     def test_threshold_means_what_the_library_means(self, sim_csv, tmp_path, a, kept):
@@ -239,7 +254,9 @@ class TestDeconfound:
             y = [float(r["y"]) for r in csv.DictReader(fh)]
         recon = [float(r["fitted"]) + float(r["residual"]) for r in rows]
         assert np.max(np.abs(np.array(recon) - np.array(y))) < 1e-12
-        summary = json.loads(Path(f"{prefix}_summary.json").read_text())
+        text = Path(f"{prefix}_summary.json").read_text()
+        assert text.endswith("}\n")
+        summary = json.loads(text)
         assert summary["r_squared"] == pytest.approx(1.0, abs=1e-6)
         excluded = Path(f"{prefix}_excluded.csv").read_text().splitlines()
         assert excluded[0] == "k"
@@ -265,6 +282,7 @@ class TestDeconfound:
         assert run_cli("deconfound", "--input", data, "--a", "0.9", "--out", prefix) == 0
         ks = [int(v) for v in Path(f"{prefix}_excluded.csv").read_text().splitlines()[1:]]
         assert len(ks) > 0
+        assert json.loads(Path(f"{prefix}_summary.json").read_text())["n_excluded"] == len(ks)
         assert np.mean(np.array(ks) <= n // 4) >= 0.7
 
 
@@ -593,6 +611,8 @@ class TestUsage:
         [
             ["fit", "--input", "d.csv", "--horizon", "1"],
             ["experiment", "--spec", "s.json", "--out", "o.csv", "--threads", "2"],
+            ["simulate", "--n", "8", "--out", "s.csv", "--horizon", "2"],
+            ["simulate", "--n", "8", "--out", "s.csv", "--dense-u-noise", "1"],
         ],
     )
     def test_removed_flags_are_usage_errors(self, argv):

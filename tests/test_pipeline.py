@@ -235,6 +235,14 @@ class TestDecorFit:
         with pytest.raises(ValueError, match="one entry per row"):
             decor_fit(np.ones(4), np.ones(5))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lists_give_the_fit_of_arrays(self, d):
+        x, y, _ = generate(SimConfig(n=16, d=d, seed=45))
+        listed = x[:, 0].tolist() if d == 1 else x.tolist()
+        est, want = decor_fit(listed, y.tolist()), decor_fit(x, y)
+        for name in "beta", "inliers", "fitted_time_domain", "residuals_time_domain":
+            assert getattr(est, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_non_convergence_reported(self):
         cfg = SimConfig(n=64, sigma_eta2=4.0, seed=31)
         x, y, _ = generate(cfg)
@@ -395,6 +403,10 @@ class TestDecorConfig:
     def test_valid_threshold_accepted(self, a):
         assert DecorConfig(a=a).a == a
 
+    def test_names_become_their_enums(self):
+        config = DecorConfig(basis_kind="haar", method="bfs")
+        assert config.basis_kind is BasisKind.HAAR and config.method is Method.BFS
+
 
 class TestDeconfound:
     def test_json_document_shape(self):
@@ -416,3 +428,20 @@ class TestDeconfound:
         res = est.residuals_time_domain
         expected = 1.0 - np.sum((res - res.mean()) ** 2) / np.sum((y - y.mean()) ** 2)
         assert est.r_squared == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, method",
+        [(16, m) for m in ALL_METHODS] + [(512, Method.TORRENT), (512, Method.OLS_BASELINE)],
+    )
+    @pytest.mark.parametrize("basis_kind", list(BasisKind))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_fitted_series_has_no_excluded_frequency(self, d, basis_kind, n, method):
+        # the fitted series is the covariates with their excluded frequencies zeroed, times beta
+        x, y, _ = generate(SimConfig(n=n, d=d, basis_kind=basis_kind, seed=46))
+        est = decor_fit(x, y, DecorConfig(basis_kind=basis_kind, method=method))
+        basis = build_basis(basis_kind, n)
+        fitted = transform(est.fitted_time_domain, basis)
+        tol = 1e-12 * np.max(np.abs(fitted))
+        assert np.max(np.abs(fitted[est.excluded_frequencies - 1]), initial=0.0) <= tol
+        kept = transform(x, basis)[est.inliers - 1] @ est.beta
+        assert np.max(np.abs(fitted[est.inliers - 1] - kept)) <= tol

@@ -39,18 +39,46 @@ def help_text(command: str) -> str:
     return out.getvalue()
 
 
-def test_synopsis_flags_are_accepted():
-    # every flag the "Command line" synopsis shows is one its subcommand accepts
+FLAG = r"--[a-z][a-z0-9-]*"
+
+
+def synopsis() -> dict:
+    """Each subcommand's lines of README's "Command line" synopsis, by subcommand."""
     block = README.split("## Command line", 1)[1].split("```", 2)[1]
-    missing, text, command = [], "", None
+    lines, command = {}, None
     for line in block.splitlines():
         if line.startswith("deconfound "):
             command = line.split()[1]
-            text = help_text(command)
-        for flag in re.findall(r"--[a-z][a-z0-9-]*", line):
+            lines[command] = ""
+        if command:
+            lines[command] += line + "\n"
+    return lines
+
+
+def test_synopsis_flags_are_accepted():
+    # every flag the "Command line" synopsis shows is one its subcommand accepts
+    missing = []
+    for command, lines in synopsis().items():
+        text = help_text(command)
+        for flag in re.findall(FLAG, lines):
             if not re.search(re.escape(flag) + r"(?![\w-])", text):
                 missing.append(f"{command} {flag}")
     assert not missing, f"README shows flags the CLI does not accept: {missing}"
+
+
+def test_accepted_flags_are_on_the_synopsis():
+    # the converse: every long flag a subcommand's --help lists is on its synopsis lines,
+    # where deconfound's "[fit flags]" stands for fit's
+    shown = synopsis()
+    missing = []
+    for command, lines in shown.items():
+        if "[fit flags]" in lines:
+            lines += shown["fit"]
+        documented = set(re.findall(FLAG, lines)) | {"--help"}
+        missing += [f"{command} {flag}" for flag in re.findall(FLAG, help_text(command))
+                    if flag not in documented]
+    assert len(shown) == 5, f"expected five subcommands on the synopsis, found {sorted(shown)}"
+    assert not missing, f"the CLI accepts flags README's synopsis omits: {sorted(set(missing))}"
 
 
 def test_spec_fields_are_the_loaders():

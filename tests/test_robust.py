@@ -115,6 +115,26 @@ def lstsq_argsort_torrent(p, a, max_iter=100):
     return beta, active, max_iter, False
 
 
+def exact_lstsq(x, y):
+    """The least-squares fit of ``x`` and ``y``, solved in rationals and rounded once: the
+    floats are exact ``Fraction``s, so only the final conversion rounds."""
+    d = x.shape[1]
+    xs = [[Fraction(v) for v in row] for row in x.tolist()]
+    ys = [Fraction(v) for v in y.tolist()]
+    # the normal equations [X'X | X'y], eliminated without pivoting: X'X is positive definite
+    rows = [[sum(r[i] * r[j] for r in xs) for j in range(d)] for i in range(d)]
+    for i in range(d):
+        rows[i].append(sum(r[i] * v for r, v in zip(xs, ys)))
+    for i in range(d):
+        for k in range(i + 1, d):
+            f = rows[k][i] / rows[i][i]
+            rows[k] = [p - f * q for p, q in zip(rows[k], rows[i])]
+    beta = [Fraction(0)] * d
+    for i in reversed(range(d)):
+        beta[i] = (rows[i][d] - sum(rows[i][j] * beta[j] for j in range(i + 1, d))) / rows[i][i]
+    return np.array([float(b) for b in beta])
+
+
 def eigh_solve(gram, b, s):
     """``robust._solve`` of one system by ``eigh`` of the Gram matrix, at every d."""
     d = len(b)
@@ -172,6 +192,12 @@ class TestOls:
         with pytest.raises(ValueError):
             RegressionProblem(np.array([[np.nan]]), np.array([1.0]))
 
+    def test_problem_arrays_are_read_only(self):
+        p = RegressionProblem(np.ones((3, 1)), np.ones(3))
+        for array in p.x, p.y:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+
 
 class TestHardThreshold:
     def test_basic(self):
@@ -195,7 +221,7 @@ class TestHardThreshold:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             hard_threshold([1.0, 2.0], 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^a must lie in 1\.\.2, got 3$"):
             hard_threshold([1.0, 2.0], 3)
 
 
@@ -360,6 +386,22 @@ class TestTorrentKernel:
             assert np.array_equal(fit.inliers, inliers)
             assert (fit.iterations, fit.converged) == (iterations, converged)
             assert np.max(np.abs(fit.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
+
+    @pytest.mark.parametrize("eps", [1.0, 0.1])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_beta_is_the_exact_fit_of_its_kept_rows(self, d, eps):
+        # the normal equations' error grows as about eps_machine cond(X)^2: within 1e-12 of
+        # the exact least-squares fit of the kept rows up to cond(X) of about 40 (here 2-37)
+        for seed in range(5):
+            rng = np.random.default_rng([d, round(10 * eps), seed])
+            x1 = rng.normal(size=96)
+            x = np.column_stack([x1] + [x1 + eps * rng.normal(size=96) for _ in range(d - 1)])
+            y = x @ np.ones(d) + 0.1 * rng.normal(size=96)
+            y[rng.choice(96, 16, replace=False)] += 10.0
+            fit = torrent(RegressionProblem(x, y), 80)
+            rows = fit.inliers - 1
+            want = exact_lstsq(x[rows], y[rows])
+            assert np.max(np.abs(fit.beta - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_reference_on_noise_free_instances(self, d):
