@@ -18,12 +18,12 @@ Two basis families are provided:
   power of two.
 
 Transform cost: up to ``DENSE_MAX_N`` = 256 points the transforms multiply by
-the matrix, memoised per (kind, n).  Above that no n x n matrix is formed: the
-cosine transforms are the orthonormal FFT-based DCT-II/DCT-III of
-``scipy.fft`` scaled by ``sqrt(n)`` (Makhoul 1980), O(n log n), and the Haar
-transforms are a pairwise sum/difference pyramid (Mallat 1989), O(n).  The
-cutoff is where the two cost the same: below it scipy's per-call overhead
-dominates, at n = 1024 the DCT is about 20x faster than the product.
+the matrix of the basis ``build_basis`` shares per (kind, n).  Above that no
+n x n matrix is formed: the cosine transforms are the orthonormal FFT-based
+DCT-II/DCT-III of ``scipy.fft`` scaled by ``sqrt(n)`` (Makhoul 1980), O(n log n),
+and the Haar transforms are a pairwise sum/difference pyramid (Mallat 1989),
+O(n).  The cutoff is where the two cost the same: below it scipy's per-call
+overhead dominates, at n = 1024 the DCT is about 20x faster than the product.
 ``scipy.fft`` is imported by the first DCT, not with this module.
 
 A basis is its kind and its size n and nothing else: ``build_basis(kind, n)``
@@ -81,9 +81,10 @@ class BasisMatrix:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The n x n matrix ``Phi``, read-only."""
-        build = _small_matrix if self.n <= DENSE_MAX_N else _build_matrix
-        return build(self.kind, self.n)
+        """The n x n matrix ``Phi``, read-only, and frozen where ``build_basis`` shares it."""
+        m = _haar_matrix(self.n) if self.kind is BasisKind.HAAR else _cosine_matrix(self.n)
+        m.setflags(write=False)
+        return frozen(m) if self.n <= DENSE_MAX_N else m
 
 
 class OrthonormalityCheck(NamedTuple):
@@ -128,26 +129,23 @@ def _haar_matrix(n: int) -> np.ndarray:
     return m
 
 
-def _build_matrix(kind: BasisKind, n: int) -> np.ndarray:
-    m = _haar_matrix(n) if kind is BasisKind.HAAR else _cosine_matrix(n)
-    m.setflags(write=False)
-    return m
-
-
-@lru_cache(maxsize=64)  # at most 64 matrices of at most 256 x 256 doubles (512 KiB each)
-def _small_matrix(kind: BasisKind, n: int) -> np.ndarray:
-    """The shared matrix of every ``BasisMatrix`` of (kind, n), frozen so none can write it."""
-    return frozen(_build_matrix(kind, n))
-
-
 def build_basis(kind: BasisKind, n: int) -> BasisMatrix:
     """The n-point basis of the given kind; O(1), the matrix is built on first read.
+
+    Up to ``DENSE_MAX_N`` one object per (kind, n) is shared, the last 64 asked for kept;
+    a larger basis is new on every call, so no cache keeps a matrix above 256 x 256.
 
     Raises
     ------
     ConfigurationError
         If ``n < 1``, or ``kind`` is Haar and ``n`` is not a power of two.
     """
+    kind, n = BasisKind(kind), check_count("n", n)  # checked before the lookup
+    return _small_basis(kind, n) if n <= DENSE_MAX_N else BasisMatrix(kind, n)
+
+
+@lru_cache(maxsize=64)  # at most 64 matrices, once read, of at most 512 KiB each
+def _small_basis(kind: BasisKind, n: int) -> BasisMatrix:
     return BasisMatrix(kind, n)
 
 
@@ -199,7 +197,8 @@ def transform(series: np.ndarray, basis: BasisMatrix) -> np.ndarray:
     """
     arr, was_1d = _as_columns(series, basis.n, "series")
     if basis.n <= DENSE_MAX_N:
-        out = basis.matrix.T @ arr / basis.n
+        out = basis.matrix.T @ arr
+        out /= basis.n
     elif basis.kind is BasisKind.COSINE:
         import scipy.fft  # only a DCT needs it, and importing it costs about 0.35 s
         out = scipy.fft.dct(arr, type=2, norm="ortho", axis=0) / math.sqrt(basis.n)

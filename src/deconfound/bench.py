@@ -149,7 +149,7 @@ def run_experiment(spec: ExperimentSpec):
                 except FeasibilityError:
                     failed, err, iterations = True, float("nan"), 0
                 else:
-                    err = float(np.mean(np.abs(est.beta - beta_true)))
+                    err = float(np.add.reduce(np.abs(est.beta - beta_true))) / beta_true.size
                     failed, iterations = False, est.iterations
                 cell.append(
                     ReplicateRecord(

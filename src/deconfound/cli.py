@@ -246,7 +246,8 @@ def cmd_deconfound(args) -> int:
     write_csv(excluded_path, ["k"], est.excluded_frequencies[:, None].tolist())
     summary_path = f"{args.out}_summary.json"
     doc = est.to_json_dict()
-    keys = ("schema_version", "beta", "r_squared", "iterations", "converged", "method")
+    keys = ("schema_version", "beta", "r_squared", "iterations", "converged", "stop_reason",
+            "method")
     summary = {key: doc[key] for key in keys}
     summary["n_excluded"] = len(doc["excluded_frequencies"])
     with open(summary_path, "w", encoding="utf-8") as fh:

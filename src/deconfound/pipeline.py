@@ -93,6 +93,7 @@ class DecorEstimate(robust.RobustFit):
             "residuals_time_domain": self.residuals_time_domain.tolist(),
             "r_squared": self.r_squared if math.isfinite(self.r_squared) else None,
             "converged": bool(self.converged),
+            "stop_reason": self.stop_reason,
             "method": self.method.value,
         }
 
@@ -102,13 +103,11 @@ def _r_squared(y: np.ndarray, residuals: np.ndarray, e: int) -> float:
 
     y and the residuals are first scaled by 2^-e, exactly (``robust._rescaled``), where e is
     y's ``robust._scale_exponent``.  A least-squares fit's residuals stay within a small
-    multiple of y's largest magnitude, so no sum of squares leaves float range."""
-    y, residuals = robust._rescaled(y, -e), robust._rescaled(residuals, -e)
-    n = y.shape[0]
-    dy = y - y.sum() / n
-    dr = residuals - residuals.sum() / n
-    sst = float(np.add.reduce(dy * dy))
-    ssr = float(np.add.reduce(dr * dr))
+    multiple of y's largest magnitude, so no sum of squares leaves float range.  Both rows
+    of the stacked (2, n) array are centred and summed as one vector each would be."""
+    rows = robust._rescaled(np.array((y, residuals)), -e)  # a new array, centred in place
+    rows -= (np.add.reduce(rows, axis=1) / y.shape[0])[:, None]
+    sst, ssr = np.add.reduce(rows * rows, axis=1).tolist()
     if sst == 0.0:
         return 1.0 if ssr == 0.0 else float("-inf")
     return 1.0 - ssr / sst
@@ -130,7 +129,8 @@ def decor_fit(
     Transforms x and y, runs the configured robust regression on the
     transformed problem, and returns the coefficient estimate together with
     the excluded-frequency report, deconfounded fitted values, residuals and
-    centered R^2.
+    centered R^2: to the bit, fitted = inverse_transform(x_freq with +0.0 on the
+    excluded rows) @ beta, residuals = y - fitted, and ``_r_squared``.
 
     Raises
     ------
@@ -147,7 +147,7 @@ def decor_fit(
     check_sample_count(n, d)
 
     basis = build_basis(config.basis_kind, n)
-    xy_freq = transform(np.column_stack([x, y]), basis)
+    xy_freq = transform(np.concatenate((x, y[:, None]), axis=1), basis)
     # checked again: a finite column near the float limit can overflow in the transform
     problem = robust.RegressionProblem(xy_freq[:, :d], xy_freq[:, d])
 
@@ -159,19 +159,17 @@ def decor_fit(
         sets = robust.candidate_sets_all_of_size(n, size, cap=config.bfs_cap)
         fit = robust.bfs(problem, sets)
     else:
-        fit = robust._fit_result(problem, robust.ols(problem), np.arange(1, n + 1), "OLS")
+        fit = robust._fit_result(problem, robust.ols(problem), "OLS")
 
-    confounded = np.ones(n, dtype=bool)
-    confounded[fit.inliers - 1] = False
-    excluded = np.flatnonzero(confounded) + 1
-    x_freq_clean = problem.x.copy()
-    x_freq_clean[confounded] = 0.0
-    x_clean = inverse_transform(x_freq_clean, basis)
+    kept = np.zeros(n, dtype=bool)
+    kept[fit.inliers - 1] = True
+    # +0.0, not x * 0, on the excluded rows, so that no -0.0 reaches the report
+    x_clean = inverse_transform(np.where(kept[:, None], problem.x, 0.0), basis)
     fitted = x_clean @ fit.beta
     residuals = y - fitted
     return DecorEstimate(
         **{**vars(fit), "method": method},
-        excluded_frequencies=excluded,
+        excluded_frequencies=(~kept).nonzero()[0] + 1,
         fitted_time_domain=fitted,
         residuals_time_domain=residuals,
         r_squared=_r_squared(y, residuals, y_exponent),

@@ -66,7 +66,8 @@ class RobustFit:
     ``inliers`` is the final active set (1-based, sorted).  ``iterations`` is
     the number of least-squares refits performed; it is 0 for the one-shot
     methods (OLS, BFS).  ``converged`` is False only when the iteration cap
-    was reached.
+    was reached.  ``stop_reason`` is why the fit stopped: ``"fixed_point"``,
+    ``"no_decrease"`` or ``"max_iter"`` (``torrent``), or ``"one_shot"`` (OLS, BFS).
     """
 
     beta: np.ndarray
@@ -75,6 +76,7 @@ class RobustFit:
     residual_norm: float
     converged: bool
     method: str
+    stop_reason: str
 
 
 def _design(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
@@ -151,13 +153,14 @@ def _index_sets(values, what: str, ndim: int = 1, n: int | None = None, error=Va
     return sets
 
 
-def _fit_result(problem, beta, inliers, method):
-    """A one-shot ``RobustFit`` with the residual norm of ``beta`` on the 1-based ``inliers``,
-    taken at the problem's fitting scale (``_scaled``), so that it cannot overflow."""
+def _fit_result(problem, beta, method):
+    """A one-shot ``RobustFit`` that keeps every row, with the residual norm of ``beta`` taken
+    at the problem's fitting scale (``_scaled``), so that it cannot overflow."""
     x, y, ex, ey = _scaled(problem)
-    rows = inliers - 1
-    residual_norm = float(np.linalg.norm(y[rows] - x[rows] @ _rescaled(beta, ex - ey)))
-    return RobustFit(beta, inliers, 0, _rescaled(residual_norm, ey), True, method)
+    r = y - x @ _rescaled(beta, ex - ey)
+    residual_norm = math.sqrt(r @ r)  # np.linalg.norm's sum, to the bit
+    inliers = np.arange(1, problem.n + 1)
+    return RobustFit(beta, inliers, 0, _rescaled(residual_norm, ey), True, method, "one_shot")
 
 
 def _scale_exponent(top: float) -> int:
@@ -259,7 +262,8 @@ def torrent(
     residual, ties to the lower index as in ``hard_threshold``.  Stops at an
     active-set fixed point or as soon as the thresholded residual norm no
     longer strictly decreases; ``converged`` is False only if ``max_iter``
-    refits were exhausted first.
+    refits were exhausted first.  ``stop_reason`` names the stop; a set that did
+    not move is a ``"fixed_point"`` even if its norm did not fall either.
 
     Each refit sums its normal equations by one product of the active row mask with the
     ``_moments``, as ``bfs``'s screen and ``eta_condition`` do, and ``_solve`` solves them as one
@@ -288,7 +292,7 @@ def torrent(
     moments = _moments(x, y)
     active = np.ones(n, dtype=bool)
     rows, r_prev = n, math.sqrt(y @ y)  # np.linalg.norm's sum, to the bit
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     while iterations < max_iter:
         iterations += 1
@@ -300,16 +304,16 @@ def torrent(
         new_active = _smallest(v, a_count)
         kept = v[new_active]
         r_new = math.sqrt(kept @ kept)
-        moved = (new_active != active).any()
+        moved = new_active.tobytes() != active.tobytes()  # one memcmp, not two ufunc calls
         active, rows = new_active, a_count
         if not moved or r_new >= r_prev:
-            converged = True
+            stop_reason = "no_decrease" if moved else "fixed_point"
             break
         r_prev = r_new
     # r_new is the norm of beta's residuals on the returned active set
     return RobustFit(
-        _rescaled(beta, ey - ex), np.flatnonzero(active) + 1, iterations, _rescaled(r_new, ey),
-        converged, "Torrent",
+        _rescaled(beta, ey - ex), active.nonzero()[0] + 1, iterations, _rescaled(r_new, ey),
+        stop_reason != "max_iter", "Torrent", stop_reason,
     )
 
 
@@ -422,7 +426,7 @@ def _moments(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     over a set's rows: a ``_row_mask`` (``_screen``, ``eta_condition``) or Torrent's active rows."""
     n, d = x.shape
     outer = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
-    return np.column_stack([outer, x * y[:, None], y * y])
+    return np.concatenate((outer, x * y[:, None], (y * y)[:, None]), axis=1)
 
 
 def _row_mask(sets: np.ndarray, n: int) -> np.ndarray:
@@ -501,19 +505,22 @@ def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> 
         raise ValueError("candidate_sets must be non-empty")
     lo, hi = _screen(_moments(x, y), sets, d, mask)
     tau = 16 * _EPS * float(y @ y) / n
-    near = np.flatnonzero(lo <= hi.min() + tau)
+    near = (lo <= hi.min() + tau).nonzero()[0]
     fits = []  # (score, winner, beta, residual norm) of each set the tie rule could pick
     for k in near if len(near) else [0]:  # none only if overflow made a NaN
         winner = np.sort(sets[k])
         xs, ys = x[winner - 1], y[winner - 1]
         beta = _lstsq(xs, ys)
-        norm = float(np.linalg.norm(ys - xs @ beta))
+        r = ys - xs @ beta
+        norm = math.sqrt(r @ r)  # np.linalg.norm's sum, to the bit
         fits.append((norm * norm / len(winner), winner, beta, norm))
         if fits[0][0] <= tau:  # scores are >= 0, so the first set within tau of 0 wins
             break
     best = min(score for score, *_ in fits)
     _, winner, beta, norm = next(fit for fit in fits if fit[0] <= best + tau)
-    return RobustFit(_rescaled(beta, ey - ex), winner, 0, _rescaled(norm, ey), True, "BFS")
+    return RobustFit(
+        _rescaled(beta, ey - ex), winner, 0, _rescaled(norm, ey), True, "BFS", "one_shot"
+    )
 
 
 def eta_condition(problem: RegressionProblem, a: int, inliers: Sequence[int]) -> float:

@@ -13,8 +13,9 @@ draws them directly, an Ornstein-Uhlenbeck process samples its paths and
 transforms them in one call.  A process is checked when it is constructed,
 except for its band support against n (``check_support_fits``): n is known only
 when a process is drawn, so each draw checks that, and ``ExperimentSpec`` checks
-it at its smallest grid size.  One inverse transform of the (n, 1 + d)
-coefficient array then gives U and eps_X in the time domain.
+it at its smallest grid size.  The confounder's coefficients are copied into
+an (n, 1 + d) array of zeros on G's rows only, beside the d noise columns, and
+one inverse transform of that array gives U and eps_X in the time domain.
 
 Randomness flows through a counter-based (Philox) generator so that replicate
 streams can be split reproducibly; ``generate`` with the same config and seed
@@ -99,11 +100,12 @@ class BandLimitedProcess:
     ) -> np.ndarray:
         """(n, columns) coefficients ~ N(0, coeff_std^2) on the support, drawn column by column."""
         check_support_fits(self, basis.n)
-        full = self.support is None
-        rows = slice(None) if full else np.array(self.support) - 1
-        size = basis.n if full else len(self.support)
+        if self.support is None:
+            return rng.normal(0.0, self.coeff_std, (columns, basis.n)).T
         coeffs = np.zeros((basis.n, columns))
-        coeffs[rows] = rng.normal(0.0, self.coeff_std, (columns, size)).T
+        coeffs[np.array(self.support) - 1] = rng.normal(
+            0.0, self.coeff_std, (columns, len(self.support))
+        ).T
         return coeffs
 
 
@@ -212,7 +214,7 @@ def generate(config: SimConfig, rng: np.random.Generator | None = None):
 
     ``x`` is (n, d), ``y`` is (n,).  The confounded set G is a uniformly
     random subset of the frequencies of size round(conf_prob * n), and the
-    confounder's basis coefficients are zeroed off G, so they vanish there
+    confounder's basis coefficients are kept on G only, so they are +0.0 off G
     exactly.  The confounder and the d covariate-noise columns are drawn as
     basis coefficients and synthesised by one inverse transform.  With
     ``dense_u_noise_std > 0``, i.i.d. Gaussian noise is added to the
@@ -230,15 +232,13 @@ def generate(config: SimConfig, rng: np.random.Generator | None = None):
     beta = config.beta_vector()
 
     g_size = confounded_set_size(config.conf_prob, n)
-    g_set = np.sort(rng.choice(n, size=g_size, replace=False)) + 1
+    g_rows = rng.choice(n, size=g_size, replace=False)  # 0-based
+    g_rows.sort()
 
-    coeffs = np.hstack([
-        config.u_process._coefficients(basis, 1, config.horizon, rng),
-        config.eps_process._coefficients(basis, d, config.horizon, rng),
-    ])
-    off_g = np.ones(n, dtype=bool)
-    off_g[g_set - 1] = False
-    coeffs[off_g, 0] = 0.0
+    coeffs = np.zeros((n, 1 + d))  # the confounder's column stays +0.0 off G
+    u_coeffs = config.u_process._coefficients(basis, 1, config.horizon, rng)
+    coeffs[g_rows, 0] = u_coeffs[g_rows, 0]
+    coeffs[:, 1:] = config.eps_process._coefficients(basis, d, config.horizon, rng)
     paths = inverse_transform(coeffs, basis)
     u_time, eps = paths[:, 0], paths[:, 1:]
     x = u_time[:, None] + eps
@@ -250,7 +250,7 @@ def generate(config: SimConfig, rng: np.random.Generator | None = None):
 
     y = x @ beta + u_time + eta
     truth = GroundTruth(
-        g_set=g_set,
+        g_set=g_rows + 1,
         u_time=u_time,
         eps_x_time=eps,
         eta_time=eta,

@@ -1,6 +1,8 @@
 """Basis construction, transform correctness, and orthonormality diagnostics."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from deconfound import (
     inverse_transform,
     transform,
 )
-from deconfound import basis as basis_module
 
 
 def naive_transform(series, basis):
@@ -91,6 +92,18 @@ class TestConstruction:
         b = build_basis(BasisKind.COSINE, 8)
         with pytest.raises(ValueError):
             b.matrix[0, 0] = 2.0
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_shared_up_to_the_dense_cutoff_only(self, kind):
+        # one object per (kind, n) up to 256 points, so its matrix is built once; above, no
+        # cache keeps the basis, so its matrix goes with the last reference to it
+        assert build_basis(kind, 256) is build_basis(kind.value, 256.0)
+        b = build_basis(kind, 512)
+        assert b.matrix.shape == (512, 512) and build_basis(kind, 512) is not b
+        gone = weakref.ref(b)
+        del b
+        gc.collect()
+        assert gone() is None
 
     @pytest.mark.parametrize(
         "kind, n",
@@ -189,11 +202,12 @@ class TestTransform:
 
 
 class TestDiagnostics:
-    def test_zeroed_column_detected(self, monkeypatch):
-        m = build_basis(BasisKind.COSINE, 8).matrix.copy()
+    def test_zeroed_column_detected(self):
+        b = BasisMatrix(BasisKind.COSINE, 8)  # its own object, not the one build_basis shares
+        m = b.matrix.copy()
         m[:, 3] = 0.0
-        monkeypatch.setattr(basis_module, "_small_matrix", lambda kind, n: m)
-        ok, dev = check_orthonormality(build_basis(BasisKind.COSINE, 8), tol=1e-10)
+        vars(b)["matrix"] = m  # where the cached matrix lives
+        ok, dev = check_orthonormality(b, tol=1e-10)
         assert not ok
         assert dev == pytest.approx(1.0, abs=1e-12)
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,9 @@ from deconfound import (
     ExperimentSpec,
     Method,
     SimConfig,
+    decor_fit,
+    generate,
+    make_rng,
     run_experiment,
 )
 from deconfound.bench import (
@@ -120,6 +124,44 @@ class TestRunExperiment:
         assert rows[0].replicates_failed == 3
         assert math.isnan(rows[0].mae)
         assert all(r.failed for r in recs)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            small_spec(
+                n_grid=(8, 12),
+                methods=tuple(DecorConfig(method=m) for m in Method),
+                replicates=3,
+            ),
+            small_spec(
+                sim=SimConfig(n=8, d=2, beta=(3.0, -1.5), basis_kind="haar", sigma_eta2=1.0),
+                methods=tuple(DecorConfig(basis_kind="haar", method=m) for m in Method),
+                replicates=2,
+            ),
+        ],
+        ids=["cosine", "haar_d2"],
+    )
+    def test_records_match_a_reference_loop(self, spec):
+        # replicate r of cell (n, method m) draws from the substream (seed_base, n, m, r), and
+        # its error is the mean absolute error of beta
+        expected = []
+        for n in spec.n_grid:
+            sim = replace(spec.sim, n=n)
+            for m, cfg in enumerate(spec.methods):
+                for r in range(spec.replicates):
+                    rng = make_rng(np.random.SeedSequence((spec.seed_base, n, m, r)))
+                    x, y, truth = generate(sim, rng=rng)
+                    est = decor_fit(x, y, cfg)
+                    err = float(np.mean(np.abs(est.beta - truth.beta)))
+                    expected.append((n, m, r, err.hex(), est.iterations))
+        _, records = run_experiment(spec)
+        labels = method_labels(spec.methods)
+        got = [
+            (rec.n, labels.index(rec.method), rec.replicate, rec.abs_error.hex(), rec.iterations)
+            for rec in records
+        ]
+        assert got == expected
+        assert not any(rec.failed for rec in records)
 
     def test_zero_iterations_for_one_shot_methods(self):
         rows, recs = run_experiment(small_spec())

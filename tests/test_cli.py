@@ -101,6 +101,7 @@ class TestFit:
         assert doc["schema_version"] == "1"
         assert len(doc["beta"]) == 1
         assert doc["converged"] is True
+        assert doc["stop_reason"] == "fixed_point"
         # default instance is confounded but estimable
         assert abs(doc["beta"][0] - 3.0) < 0.5
 
@@ -149,6 +150,8 @@ class TestFit:
             "fit", "--input", sim_csv, "--max-iter", "1", "--out", tmp_path / "nc.json"
         )
         assert code == 3
+        doc = json.loads((tmp_path / "nc.json").read_text())
+        assert (doc["converged"], doc["stop_reason"]) == (False, "max_iter")
 
     def test_malformed_csv_names_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -258,6 +261,7 @@ class TestDeconfound:
         assert text.endswith("}\n")
         summary = json.loads(text)
         assert summary["r_squared"] == pytest.approx(1.0, abs=1e-6)
+        assert (summary["converged"], summary["stop_reason"]) == (True, "one_shot")
         excluded = Path(f"{prefix}_excluded.csv").read_text().splitlines()
         assert excluded[0] == "k"
 

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from deconfound import (
     candidate_sets_all_of_size,
     decor_fit,
     generate,
+    inverse_transform,
     ols,
     resolve_count,
     torrent,
@@ -148,6 +150,7 @@ class TestDecorFit:
         doc = json.loads(est_path.read_text())
         assert doc["beta"] == est.beta.tolist()
         assert doc["inliers"] == est.inliers.tolist()
+        assert doc["stop_reason"] == est.stop_reason == "fixed_point"
 
     @pytest.mark.parametrize("method", [Method.TORRENT, Method.BFS])
     def test_excluded_count_is_complement_of_threshold(self, method):
@@ -279,9 +282,9 @@ class TestDecorFit:
         else:
             beta = ols(problem)
             norm = float(np.linalg.norm(problem.y - problem.x @ beta))
-            fit = RobustFit(beta, np.arange(1, n + 1), 0, norm, True, "OLS")
+            fit = RobustFit(beta, np.arange(1, n + 1), 0, norm, True, "OLS", "one_shot")
         assert isinstance(est, RobustFit)
-        for name in "beta", "inliers", "iterations", "residual_norm", "converged":
+        for name in "beta", "inliers", "iterations", "residual_norm", "converged", "stop_reason":
             assert np.array_equal(getattr(est, name), getattr(fit, name)), name
         assert est.method is method
 
@@ -445,3 +448,43 @@ class TestDeconfound:
         assert np.max(np.abs(fitted[est.excluded_frequencies - 1]), initial=0.0) <= tol
         kept = transform(x, basis)[est.inliers - 1] @ est.beta
         assert np.max(np.abs(fitted[est.inliers - 1] - kept)) <= tol
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**600])
+    @pytest.mark.parametrize(
+        "basis_kind, n, method",
+        [
+            (kind, n, method)
+            for kind, sizes in ((BasisKind.COSINE, (12, 1000)), (BasisKind.HAAR, (16, 512)))
+            for n in sizes  # each side of DENSE_MAX_N, and n not a power of two for the DCT
+            for method in ALL_METHODS
+            if method is not Method.BFS or n <= 16
+        ],
+    )
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_time_domain_report_is_bit_identical_to_its_definition(
+        self, d, basis_kind, n, method, scale
+    ):
+        # the report built from the public pieces, one operation at a time: the transformed x
+        # copied and zeroed on the excluded rows, inverse_transform, @ beta, y - fitted, and R^2
+        # from centred sums (np.add.reduce) of y and the residuals, both scaled by 2^-e first,
+        # where e is y's exponent when its largest magnitude is above 2^500
+        x, y, _ = generate(SimConfig(n=n, d=d, basis_kind=basis_kind, seed=47))
+        x, y = x * scale, y * scale
+        est = decor_fit(x, y, DecorConfig(basis_kind=basis_kind, method=method))
+        basis = build_basis(basis_kind, n)
+        x_clean = transform(np.column_stack([x, y]), basis)[:, :d].copy()
+        excluded = np.setdiff1d(np.arange(1, n + 1), est.inliers)
+        x_clean[excluded - 1] = 0.0
+        fitted = inverse_transform(x_clean, basis) @ est.beta
+        residuals = y - fitted
+        e = math.frexp(np.abs(y).max())[1] if scale > 1.0 else 0
+        sums = []
+        for v in np.ldexp(y, -e), np.ldexp(residuals, -e):
+            centred = v - v.sum() / n
+            sums.append(float(np.add.reduce(centred * centred)))
+        sst, ssr = sums
+        assert est.fitted_time_domain.tobytes() == fitted.tobytes()
+        assert est.residuals_time_domain.tobytes() == residuals.tobytes()
+        assert est.excluded_frequencies.dtype == excluded.dtype
+        assert est.excluded_frequencies.tobytes() == excluded.tobytes()
+        assert est.r_squared.hex() == (1.0 - ssr / sst).hex()

@@ -95,7 +95,7 @@ def exhaustive_bfs_oracle(x, y, size):
 def lstsq_argsort_torrent(p, a, max_iter=100):
     """Torrent as first written: lstsq refits and a stable argsort per iteration.
 
-    Returns ``(beta, inliers, iterations, converged)``.
+    Returns ``(beta, inliers, iterations, stop_reason)``.
     """
     a_count = resolve_count(a, p.n)
     x, y = p.x, p.y
@@ -110,9 +110,9 @@ def lstsq_argsort_torrent(p, a, max_iter=100):
         fixed_point = np.array_equal(new_active, active)
         active = new_active
         if fixed_point or r_new >= r_prev:
-            return beta, active, iterations, True
+            return beta, active, iterations, "fixed_point" if fixed_point else "no_decrease"
         r_prev = r_new
-    return beta, active, max_iter, False
+    return beta, active, max_iter, "max_iter"
 
 
 def exact_lstsq(x, y):
@@ -361,6 +361,57 @@ class TestTorrent:
         fit = torrent(p, 0.7, max_iter=1)
         assert fit.iterations == 1
         assert not fit.converged
+        assert fit.stop_reason == "max_iter"
+
+
+class TestStopReason:
+    """Why a fit stopped: each of Torrent's three stops, reached by a hand-built instance,
+    and the one-shot methods."""
+
+    def test_fixed_point(self):
+        rng = np.random.default_rng(7)
+        p = RegressionProblem(rng.normal(size=(40, 1)), rng.normal(size=40))
+        fit = torrent(p, 0.7)
+        assert (fit.stop_reason, fit.converged) == ("fixed_point", True)
+        assert lstsq_argsort_torrent(p, 0.7)[3] == "fixed_point"
+        # one more refit on the returned rows keeps them
+        again = torrent(RegressionProblem(p.x[fit.inliers - 1], p.y[fit.inliers - 1]), 1.0)
+        assert (again.stop_reason, again.iterations) == ("fixed_point", 1)
+
+    def test_no_decrease_on_a_rank_deficient_refit(self):
+        # Refit 1 (every row) leaves exact zero residuals on rows 2-5, where x = y = 0, and
+        # keeps them.  Their Gram matrix is 0, so refit 2 goes to lstsq, whose minimum-norm
+        # beta is 0.  Row 1 (x = 1, y = 0) then fits exactly too and, as the lower index,
+        # displaces row 5: the kept rows moved while their norm stayed 0.
+        x = np.array([1.0, 0, 0, 0, 0, 1, 2, 3])
+        y = np.array([0.0, 0, 0, 0, 0, 3, 6, 9])
+        p = RegressionProblem(x, y)
+        fit = torrent(p, 4)
+        assert (fit.stop_reason, fit.converged, fit.iterations) == ("no_decrease", True, 2)
+        assert fit.inliers.tolist() == [1, 2, 3, 4]
+        assert fit.beta.tolist() == [0.0] and fit.residual_norm == 0.0
+        assert lstsq_argsort_torrent(p, 4)[2:] == (2, "no_decrease")
+
+    def test_a_stop_at_the_cap_is_not_the_cap(self):
+        # a fit that stops on its last allowed refit names that stop; one refit fewer, the cap
+        rng = np.random.default_rng(24)
+        p = RegressionProblem(rng.normal(size=(60, 1)), rng.normal(size=60))
+        k = torrent(p, 0.7).iterations
+        assert k >= 3
+        fit = torrent(p, 0.7, max_iter=k)
+        assert (fit.stop_reason, fit.converged, fit.iterations) == ("fixed_point", True, k)
+        fit = torrent(p, 0.7, max_iter=k - 1)
+        assert (fit.stop_reason, fit.converged, fit.iterations) == ("max_iter", False, k - 1)
+
+    def test_one_shot_methods(self):
+        rng = np.random.default_rng(8)
+        p = RegressionProblem(rng.normal(size=(8, 1)), rng.normal(size=8))
+        fit = bfs(p, candidate_sets_all_of_size(8, 6))
+        assert (fit.stop_reason, fit.converged, fit.iterations) == ("one_shot", True, 0)
+        x, y, _ = generate(SimConfig(n=16, seed=8))
+        for method in Method.BFS, Method.OLS_BASELINE:
+            est = decor_fit(x, y, DecorConfig(method=method))
+            assert (est.stop_reason, est.converged, est.iterations) == ("one_shot", True, 0)
 
 
 class TestTorrentKernel:
@@ -382,9 +433,10 @@ class TestTorrentKernel:
         for _ in range(150):
             p, a = self._noisy_instance(rng, d)
             fit = torrent(p, a)
-            beta, inliers, iterations, converged = lstsq_argsort_torrent(p, a)
+            beta, inliers, iterations, stop_reason = lstsq_argsort_torrent(p, a)
             assert np.array_equal(fit.inliers, inliers)
-            assert (fit.iterations, fit.converged) == (iterations, converged)
+            assert (fit.iterations, fit.stop_reason) == (iterations, stop_reason)
+            assert fit.converged == (stop_reason != "max_iter")
             assert np.max(np.abs(fit.beta - beta)) <= 1e-12 * np.max(np.abs(beta))
 
     @pytest.mark.parametrize("eps", [1.0, 0.1])
@@ -475,7 +527,7 @@ class TestTorrentKernel:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 fit = torrent(p, 0.75)
-            beta, inliers, iterations, converged = lstsq_argsort_torrent(p, 0.75)
+            beta, inliers, iterations, _ = lstsq_argsort_torrent(p, 0.75)
             assert np.array_equal(fit.inliers, inliers) and fit.iterations == iterations
             assert np.max(np.abs(fit.beta - beta)) <= 1e-12
             if not x.any():
