@@ -9,6 +9,8 @@ synthetic data.
 
 __version__ = "1.0.0"
 
+import logging
+
 from .basis import (
     BasisKind,
     BasisMatrix,
@@ -45,6 +47,9 @@ from .sim import (
     generate,
     make_rng,
 )
+
+# the package logs to "deconfound" and its children, silent unless an application configures it
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

@@ -4,12 +4,15 @@ Each experiment cell (sample size, method) runs a fixed number of independent
 generate-then-fit replicates.  Replicate r of cell (n, method m) draws its
 randomness from the substream seeded by (seed_base, n, m, r), so any cell can
 be reproduced in isolation and results do not depend on execution order.
+Each cell logs one INFO line to the ``deconfound.bench`` logger.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 import math
+import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -18,7 +21,9 @@ from .basis import build_basis
 from .errors import FeasibilityError, check_count
 from .pipeline import DecorConfig, Method, check_sample_count, decor_fit
 from .robust import resolve_count
-from .sim import SimConfig, check_support_fits, generate, make_rng
+from .sim import SimConfig, check_support_fits, generate
+
+_log = logging.getLogger(__name__)
 
 RESULT_CSV_HEADER = "n,method,sigma_eta2,conf_prob,mae,mae_stderr,mean_iter,max_iter,failed"
 RECORD_CSV_HEADER = "n,method,sigma_eta2,conf_prob,replicate,abs_error,iterations,failed"
@@ -121,8 +126,36 @@ def method_labels(methods) -> list[str]:
     return labels
 
 
-def _replicate_seed(seed_base: int, n: int, method_index: int, r: int):
-    return np.random.SeedSequence(entropy=(seed_base, n, method_index, r))
+def _words(*values: int) -> list[int]:
+    """The little-endian 32-bit words of each value in turn, 0 as one word: the words numpy
+    splits a tuple of ints into when it seeds a ``SeedSequence`` from it."""
+    words = []
+    for v in values:
+        words.append(v & 0xFFFFFFFF)
+        while v := v >> 32:
+            words.append(v & 0xFFFFFFFF)
+    return words
+
+
+def _substreams():
+    """One generator and ``rekey``, which sets it to draw what ``make_rng(SeedSequence(ints))``
+    draws, given the ``_words`` of ``ints``, and returns it.
+
+    Philox is counter-based: its key and counter alone fix its stream.  So ``rekey`` sets
+    the key that ``SeedSequence`` derives and a fresh state (counter 0, empty buffer, no
+    half-used 32-bit word) in place of building a new ``Philox``.
+    """
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+
+    def rekey(words: list[int]) -> np.random.Generator:
+        seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+        fresh["state"]["key"] = seq.generate_state(2, np.uint64)
+        bits.state = fresh
+        return rng
+
+    return rekey
 
 
 def run_experiment(spec: ExperimentSpec):
@@ -130,8 +163,11 @@ def run_experiment(spec: ExperimentSpec):
 
     Replicates that raise a feasibility error (an exhaustive-search cell too
     large for its cap) are counted in ``replicates_failed`` and excluded from
-    the error statistics; the sweep itself never aborts.
+    the error statistics; the sweep itself never aborts.  The call draws every
+    replicate from one generator of its own (``_substreams``), so calls may run
+    in parallel threads.
     """
+    rekey = _substreams()
     labels = method_labels(spec.methods)
     rows: list[ResultRow] = []
     records: list[ReplicateRecord] = []
@@ -139,11 +175,14 @@ def run_experiment(spec: ExperimentSpec):
         sim_n = replace(spec.sim, n=n)
         beta_true = sim_n.beta_vector()
         for m_index, (cfg, label) in enumerate(zip(spec.methods, labels)):
+            start = time.perf_counter()
             key = vars(_CellKey(n, label, sim_n.sigma_eta2, sim_n.conf_prob))
+            if cfg.method is not Method.OLS_BASELINE:  # the threshold as a count, once a cell
+                cfg = replace(cfg, a=resolve_count(cfg.a, n))
+            cell_words = _words(spec.seed_base, n, m_index)
             cell: list[ReplicateRecord] = []
             for r in range(spec.replicates):
-                rng = make_rng(_replicate_seed(spec.seed_base, n, m_index, r))
-                x, y, _ = generate(sim_n, rng=rng)
+                x, y, _ = generate(sim_n, rng=rekey(cell_words + _words(r)))
                 try:
                     est = decor_fit(x, y, cfg)
                 except FeasibilityError:
@@ -166,6 +205,11 @@ def run_experiment(spec: ExperimentSpec):
                 max_iter = max(rec.iterations for rec in fitted)
             else:
                 mae, stderr, mean_iter, max_iter = float("nan"), float("nan"), float("nan"), 0
+            failed_count, wall = len(cell) - len(fitted), time.perf_counter() - start
+            _log.info(
+                "cell n=%d method=%s: %d replicates, %d failed, %.3g s, %.0f fits/s",
+                n, label, len(cell), failed_count, wall, len(cell) / wall,
+            )
             rows.append(
                 ResultRow(
                     **key,
@@ -173,7 +217,7 @@ def run_experiment(spec: ExperimentSpec):
                     mae_stderr=stderr,
                     mean_iterations=mean_iter,
                     max_iterations=max_iter,
-                    replicates_failed=len(cell) - len(fitted),
+                    replicates_failed=failed_count,
                 )
             )
     return rows, records

@@ -18,6 +18,8 @@ class FeasibilityError(RuntimeError):
 
 def is_real(value) -> bool:
     """The one test for a real number: a Python or numpy real that is not a bool."""
+    if type(value) is float or type(value) is int:  # the common cases, before the ABC check
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -38,8 +40,9 @@ def check_count(name: str, value, low: int = 1) -> int:
     Python and numpy integers pass, and whole-number floats such as ``8.0`` convert; a
     bool, any other float, NaN, infinity and a non-number raise ``ConfigurationError``.
     """
-    integral = is_real(value) and (
-        isinstance(value, numbers.Integral) or float(value).is_integer()  # false for NaN and inf
+    integral = type(value) is int or (  # an exact int needs no ABC check
+        is_real(value)
+        and (isinstance(value, numbers.Integral) or float(value).is_integer())  # not NaN, inf
     )
     if not integral:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")

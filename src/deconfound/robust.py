@@ -236,9 +236,11 @@ def resolve_count(a: float | int, n: int) -> int:
     converted as ``ceil(a * n)`` exactly from the decimal ``a`` prints as: 0.55
     of 100 is 55.  Anything else (a bool, a string, a ``Decimal``) raises ``ValueError``.
     """
-    if not is_real(a):
+    if type(a) is int:  # a count, as run_experiment passes to every fit: no ABC check
+        count = a
+    elif not is_real(a):
         raise ValueError(f"threshold must be a count or a fraction, not {type(a).__name__}: {a!r}")
-    if isinstance(a, numbers.Integral) or (
+    elif isinstance(a, numbers.Integral) or (
         isinstance(a, (float, np.floating)) and a > 1 and float(a).is_integer()
     ):
         count = int(a)

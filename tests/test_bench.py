@@ -1,7 +1,13 @@
 """Experiment harness: determinism, aggregation, spec sizes, CSV output."""
 
 import csv
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +20,7 @@ from deconfound import (
     ConfigurationError,
     DecorConfig,
     ExperimentSpec,
+    FeasibilityError,
     Method,
     SimConfig,
     decor_fit,
@@ -24,6 +31,8 @@ from deconfound import (
 from deconfound.bench import (
     RECORD_CSV_HEADER,
     RESULT_CSV_HEADER,
+    _substreams,
+    _words,
     method_labels,
     write_rows,
 )
@@ -42,6 +51,38 @@ def small_spec(**kw):
     )
     defaults.update(kw)
     return ExperimentSpec(**defaults)
+
+
+def reference_records(spec):
+    """(n, method index, replicate, the error's ``float.hex`` or None if infeasible, iterations)
+    of every replicate, each drawn from a new generator on its substream (seed_base, n, m, r)."""
+    expected = []
+    for n in spec.n_grid:
+        sim = replace(spec.sim, n=n)
+        for m, cfg in enumerate(spec.methods):
+            for r in range(spec.replicates):
+                rng = make_rng(np.random.SeedSequence((spec.seed_base, n, m, r)))
+                x, y, truth = generate(sim, rng=rng)
+                try:
+                    est = decor_fit(x, y, cfg)
+                except FeasibilityError:
+                    expected.append((n, m, r, None, 0))
+                    continue
+                err = float(np.mean(np.abs(est.beta - truth.beta)))
+                expected.append((n, m, r, err.hex(), est.iterations))
+    return expected
+
+
+def record_tuples(spec, records):
+    """``records`` in the form of ``reference_records``."""
+    labels = method_labels(spec.methods)
+    return [
+        (
+            rec.n, labels.index(rec.method), rec.replicate,
+            None if rec.failed else rec.abs_error.hex(), rec.iterations,
+        )
+        for rec in records
+    ]
 
 
 class TestSpecSizes:
@@ -128,40 +169,88 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "spec",
         [
-            small_spec(
-                n_grid=(8, 12),
-                methods=tuple(DecorConfig(method=m) for m in Method),
-                replicates=3,
+            pytest.param(
+                small_spec(
+                    n_grid=(8, 12),
+                    methods=tuple(DecorConfig(method=m) for m in Method),
+                    replicates=3,
+                ),
+                id="cosine",
             ),
-            small_spec(
-                sim=SimConfig(n=8, d=2, beta=(3.0, -1.5), basis_kind="haar", sigma_eta2=1.0),
-                methods=tuple(DecorConfig(basis_kind="haar", method=m) for m in Method),
-                replicates=2,
+            pytest.param(
+                small_spec(
+                    sim=SimConfig(n=8, d=2, beta=(3.0, -1.5), basis_kind="haar", sigma_eta2=1.0),
+                    methods=tuple(DecorConfig(basis_kind="haar", method=m) for m in Method),
+                    replicates=2,
+                ),
+                id="haar_d2",
+            ),
+            # a seed_base of one 32-bit word, of two with a low word 0, and of three
+            *(
+                pytest.param(
+                    small_spec(
+                        n_grid=(8,),
+                        methods=tuple(DecorConfig(method=m) for m in Method),
+                        replicates=2,
+                        seed_base=seed_base,
+                    ),
+                    id=f"seed_base={name}",
+                )
+                for seed_base, name in [
+                    (2**32 - 1, "2^32-1"), (2**32, "2^32"), (2**64 + 3, "2^64+3")
+                ]
             ),
         ],
-        ids=["cosine", "haar_d2"],
     )
     def test_records_match_a_reference_loop(self, spec):
         # replicate r of cell (n, method m) draws from the substream (seed_base, n, m, r), and
         # its error is the mean absolute error of beta
-        expected = []
-        for n in spec.n_grid:
-            sim = replace(spec.sim, n=n)
-            for m, cfg in enumerate(spec.methods):
-                for r in range(spec.replicates):
-                    rng = make_rng(np.random.SeedSequence((spec.seed_base, n, m, r)))
-                    x, y, truth = generate(sim, rng=rng)
-                    est = decor_fit(x, y, cfg)
-                    err = float(np.mean(np.abs(est.beta - truth.beta)))
-                    expected.append((n, m, r, err.hex(), est.iterations))
         _, records = run_experiment(spec)
-        labels = method_labels(spec.methods)
-        got = [
-            (rec.n, labels.index(rec.method), rec.replicate, rec.abs_error.hex(), rec.iterations)
-            for rec in records
-        ]
-        assert got == expected
+        assert record_tuples(spec, records) == reference_records(spec)
         assert not any(rec.failed for rec in records)
+
+    def test_infeasible_cell_between_feasible_cells(self):
+        # BFS at n = 30 needs C(30, 15) sets, over its cap; the Torrent and OLS cells before and
+        # after it, and BFS at n = 8, still draw their own substreams
+        spec = small_spec(
+            n_grid=(8, 30),
+            methods=tuple(DecorConfig(method=m, a=0.5, bfs_cap=1000) for m in Method),
+            replicates=2,
+        )
+        _, records = run_experiment(spec)
+        assert {(rec.n, rec.method) for rec in records if rec.failed} == {(30, "DecoR-BFS")}
+        assert record_tuples(spec, records) == reference_records(spec)
+
+    def test_rekeyed_generator_draws_a_new_generators_stream(self):
+        rekey = _substreams()
+        substreams = [(5, 8, 0, 0), (5, 8, 0, 1), (2**64 + 3, 12, 2, 7), (0, 1, 0, 2**32)]
+        assert [_words(*ints) for ints in substreams[2:]] == [[3, 0, 1, 12, 2, 7], [0, 1, 0, 0, 1]]
+        for ints in substreams:
+            rng = rekey(_words(*ints))
+            new = make_rng(np.random.SeedSequence(ints))
+            for draw in (
+                lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                lambda g: g.normal(size=5),
+                lambda g: g.choice(12, size=4, replace=False),
+                lambda g: g.integers(0, 7, 5, dtype=np.uint32),
+            ):
+                assert draw(rng).tobytes() == draw(new).tobytes()
+            # leave a half-used 32-bit word, and part of a buffer, for the next rekey to drop
+            if not rng.bit_generator.state["has_uint32"]:
+                rng.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state["buffer_pos"] < 4
+
+    def test_threads_give_the_serial_records(self):
+        methods = tuple(DecorConfig(method=m) for m in Method)
+        specs = [small_spec(methods=methods, seed_base=base) for base in (5, 6)]
+        serial = [run_experiment(spec) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside replicates too
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                assert list(pool.map(run_experiment, specs, timeout=120)) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_zero_iterations_for_one_shot_methods(self):
         rows, recs = run_experiment(small_spec())
@@ -273,3 +362,37 @@ class TestCsvOutput:
         write_rows(tmp_path / "recs.csv", RECORD_CSV_HEADER, recs)
         written = (tmp_path / "rows.csv").read_bytes() + (tmp_path / "recs.csv").read_bytes()
         assert written == reference(rows, recs).encode()
+
+
+class TestLogging:
+    def test_one_info_record_per_cell(self, caplog):
+        # BFS fits C(8, 4) = 70 sets under its cap, not C(16, 8)
+        methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5, bfs_cap=100))
+        spec = small_spec(methods=methods, replicates=3)
+        with caplog.at_level(logging.INFO, logger="deconfound"):
+            rows, _ = run_experiment(spec)
+        logged = [rec for rec in caplog.records if rec.name.startswith("deconfound")]
+        assert len(logged) == len(rows) == 4
+        for rec, row in zip(logged, rows):
+            assert (rec.name, rec.levelno) == ("deconfound.bench", logging.INFO)
+            assert rec.args[:4] == (row.n, row.method, 3, row.replicates_failed)  # lazy arguments
+            head = f"cell n={row.n} method={row.method}: 3 replicates, {rec.args[3]} failed, "
+            assert re.fullmatch(re.escape(head) + r"\S+ s, \d+ fits/s", rec.getMessage())
+        assert [row.replicates_failed for row in rows] == [0, 0, 0, 3]
+
+    def test_silent_when_logging_is_unconfigured(self):
+        # the package's NullHandler keeps even a warning off stderr, where Python's last-resort
+        # handler would print it
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import logging\n"
+            "from deconfound import *\n"
+            "methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5, bfs_cap=100))\n"
+            "run_experiment(ExperimentSpec(SimConfig(n=8), (8, 16), methods, replicates=2))\n"
+            "logging.getLogger('deconfound.bench').warning('unseen')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")

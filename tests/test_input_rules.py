@@ -15,6 +15,7 @@ constructed, not when it is first used.
 """
 
 import math
+import numbers
 import re
 from dataclasses import replace
 from decimal import Decimal
@@ -45,6 +46,7 @@ from deconfound import (
     torrent,
 )
 from deconfound.cli import main, write_series_csv
+from deconfound.errors import check_count, is_real
 from deconfound.pipeline import check_sample_count
 from deconfound.sim import check_support_fits
 
@@ -514,3 +516,75 @@ class TestRejectedAtConstruction:
         assert main(args) == 2
         assert capsys.readouterr().err == "error: --horizon must be positive, got inf\n"
         assert not (tmp_path / "report_fitted.csv").exists()
+
+
+# the three rules as they read with no exact-type fast path, by the numbers ABCs alone
+def abc_is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def abc_check_count(name, value, low=1):
+    if not (abc_is_real(value) and (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    )):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigurationError(f"{name} must be >= {low}")
+    return int(value)
+
+
+def abc_resolve_count(a, n):
+    if not abc_is_real(a):
+        raise ValueError(f"threshold must be a count or a fraction, not {type(a).__name__}: {a!r}")
+    if isinstance(a, numbers.Integral) or (
+        isinstance(a, (float, np.floating)) and a > 1 and float(a).is_integer()
+    ):
+        count = int(a)
+    elif 0 < a <= 1:
+        num, den = Decimal(repr(float(a))).as_integer_ratio()
+        count = -(-num * n // den)
+    else:
+        raise ValueError(f"threshold must be a count in 1..{n} or a fraction in (0,1], got {a}")
+    if not 1 <= count <= n:
+        raise ValueError(f"threshold count {count} out of range 1..{n}")
+    return count
+
+
+class Count(int):
+    """An int subclass: not an exact int, so it takes the general path."""
+
+
+# exact ints and floats, which take the fast paths, and values that must not
+FAST_PATH_VALUES = [
+    0, 1, 8, 16, 17, -3, 2**70, -(2**70),
+    0.0, 0.7, 1.0, 8.0, 8.5, 1e300, -0.5, math.nan, math.inf, -math.inf,
+    Count(8), Count(0), np.int64(8), np.int64(-1), np.float64(0.7), np.float32(8.0),
+    True, False, np.True_, Fraction(7, 10), Decimal("8"), "8", None,
+]
+
+
+def outcome(call, *args):
+    """``call``'s result with its type, or its error's type and message."""
+    try:
+        result = call(*args)
+    except (ValueError, TypeError) as e:
+        return type(e), str(e)
+    return type(result), result
+
+
+class TestExactTypeFastPaths:
+    @pytest.mark.parametrize("value", FAST_PATH_VALUES, ids=repr)
+    def test_same_verdict_as_the_abc_rules(self, value):
+        assert is_real(value) is abc_is_real(value)
+        for low in 0, 1:
+            expected = outcome(abc_check_count, "n", value, low)
+            assert outcome(check_count, "n", value, low) == expected
+        for n in 8, 16, 2**70:
+            assert outcome(resolve_count, value, n) == outcome(abc_resolve_count, value, n)
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 100])
+    @pytest.mark.parametrize("a", [0.7, 0.55, 0.3, 0.05, 1.0, np.float64(0.3), Fraction(7, 10)])
+    def test_a_hoisted_count_resolves_to_itself(self, a, n):
+        # run_experiment hands each cell's fits resolve_count(a, n) in place of a
+        count = resolve_count(a, n)
+        assert type(count) is int and resolve_count(count, n) == count
