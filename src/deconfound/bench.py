@@ -20,7 +20,7 @@ import numpy as np
 from .basis import build_basis
 from .errors import FeasibilityError, check_count
 from .pipeline import DecorConfig, Method, check_sample_count, decor_fit
-from .robust import resolve_count
+from .robust import _enumeration_count, resolve_count
 from .sim import SimConfig, check_support_fits, generate
 
 _log = logging.getLogger(__name__)
@@ -161,11 +161,12 @@ def _substreams():
 def run_experiment(spec: ExperimentSpec):
     """Run every (n, method) cell; returns ``(rows, records)``.
 
-    Replicates that raise a feasibility error (an exhaustive-search cell too
-    large for its cap) are counted in ``replicates_failed`` and excluded from
-    the error statistics; the sweep itself never aborts.  The call draws every
-    replicate from one generator of its own (``_substreams``), so calls may run
-    in parallel threads.
+    An exhaustive-search cell too large for its cap fails every replicate, which
+    is decided once per cell: it draws and fits nothing, and its replicates are
+    counted in ``replicates_failed`` and excluded from the error statistics.
+    The sweep itself never aborts on it.  The call draws every replicate from
+    one generator of its own (``_substreams``), so calls may run in parallel
+    threads.
     """
     rekey = _substreams()
     labels = method_labels(spec.methods)
@@ -181,15 +182,20 @@ def run_experiment(spec: ExperimentSpec):
                 cfg = replace(cfg, a=resolve_count(cfg.a, n))
             cell_words = _words(spec.seed_base, n, m_index)
             cell: list[ReplicateRecord] = []
-            for r in range(spec.replicates):
-                x, y, _ = generate(sim_n, rng=rekey(cell_words + _words(r)))
+            feasible = True
+            if cfg.method is Method.BFS:  # (n, size, cap) alone decides it, so once a cell
                 try:
-                    est = decor_fit(x, y, cfg)
+                    _enumeration_count(n, cfg.a, cfg.bfs_cap)
                 except FeasibilityError:
-                    failed, err, iterations = True, float("nan"), 0
-                else:
+                    feasible = False
+            for r in range(spec.replicates):
+                if feasible:
+                    x, y, _ = generate(sim_n, rng=rekey(cell_words + _words(r)))
+                    est = decor_fit(x, y, cfg)
                     err = float(np.add.reduce(np.abs(est.beta - beta_true))) / beta_true.size
                     failed, iterations = False, est.iterations
+                else:
+                    failed, err, iterations = True, float("nan"), 0
                 cell.append(
                     ReplicateRecord(
                         **key, replicate=r, abs_error=err, iterations=iterations, failed=failed

@@ -74,14 +74,27 @@ def read_series_csv(path):
 
     numpy parses the data rows in one call.  A body it rejects, or one it might
     read unlike the csv module and ``float()``, is read again row by row, which
-    gives the same arrays or names the first bad row.
+    gives the same arrays or names the first bad row.  A text with no quote is
+    split into lines once and then dropped, so the peak stays near 3x the file.
     """
-    lines = io.StringIO(_read_text(path), newline="")
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
+    text = _read_text(path)
+    if not text:
         raise InputFormatError(f"{path}: empty file, expected a header row")
+    numpy_safe = not any(c in text for c in _NOT_FLOAT_SPACE)
+    if '"' in text:  # a quoted cell may hold a line break, so the csv module ends the header
+        stream = io.StringIO(text, newline="")
+        header = next(csv.reader(stream))
+        lines = [stream.read()]
+        del stream
+    else:
+        # numpy reads CRLF but rejects a lone CR.  Where the first CR is lone, each CRLF and CR
+        # becomes LF, as the csv module ends lines there.  The header ends at the first LF.
+        cr = text.find("\r")
+        if cr >= 0 and text[cr + 1 : cr + 2] != "\n":
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        header = next(csv.reader([lines.pop(0)]))
+    del text  # the lines are the one copy of the body from here on
     header = [h.strip() for h in header]
     has_t = bool(header) and header[0] == "t"
     body = header[1:] if has_t else header
@@ -96,12 +109,11 @@ def read_series_csv(path):
             f"{path}: covariate columns must be named {','.join(expected)}, "
             f"got {','.join(x_names)}"
         )
-    rest = lines.read()
-    if not rest.strip("\r\n"):  # checked here, since loadtxt warns on a body with no rows
+    if not any(line.strip("\r\n") for line in lines):  # loadtxt warns on a body with no rows
         raise InputFormatError(f"{path}: no data rows")
-    table = _numpy_table(rest, len(header))
+    table = _numpy_table(lines, len(header)) if numpy_safe else None
     if table is None:
-        rows = list(csv.reader(io.StringIO(rest, newline="")))
+        rows = list(csv.reader(io.StringIO("\n".join(lines), newline="")))
         try:
             table = np.array([row for row in rows if row], dtype=float)
         except ValueError:
@@ -116,22 +128,19 @@ def read_series_csv(path):
 _NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _numpy_table(text, width):
-    """The rows of ``text`` as numpy parses them, or None where the row-by-row read may differ."""
-    if any(c in text for c in _NOT_FLOAT_SPACE):
-        return None
-    # numpy reads CRLF but rejects a lone CR.  Where the first CR is lone and no quote lets a
-    # cell hold a line break, each CRLF and CR becomes LF, as the csv module ends lines there.
-    cr = text.find("\r")
-    if cr >= 0 and text[cr + 1 : cr + 2] != "\n" and '"' not in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+def _numpy_table(lines, width):
+    """The rows of ``lines`` as numpy parses them, or None where the row-by-row read may differ.
+
+    ``lines`` is the body split on LF, or one item that holds a body with quotes.
+    """
     # the csv module rejects a cell longer than its field limit; numpy has no limit.  An
-    # unquoted cell lies within one line, while a quoted one may span lines.
-    limit = csv.field_size_limit()
-    if len(text) > limit and ('"' in text or max(map(len, text.split("\n"))) > limit):
+    # unquoted cell lies within one line, while a quoted one may span the item's lines.
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
+    # numpy reads a line break in a quoted cell from a file only, not within an item of a list
+    source = lines if len(lines) > 1 else io.StringIO(lines[0])
     try:
-        table = np.loadtxt(io.StringIO(text), delimiter=",", comments=None, quotechar='"', ndmin=2)
+        table = np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError:
         return None
     return table if table.shape[1] == width else None
@@ -228,7 +237,8 @@ def cmd_fit(args) -> int:
     doc = json.dumps(est.to_json_dict(), allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+            fh.write(doc)  # and its newline apart: doc + "\n" would copy the whole document
+            fh.write("\n")
     else:
         print(doc)
     return EXIT_OK if est.converged else EXIT_NOT_CONVERGED

@@ -28,6 +28,7 @@ from deconfound import (
     make_rng,
     run_experiment,
 )
+from deconfound import bench
 from deconfound.bench import (
     RECORD_CSV_HEADER,
     RESULT_CSV_HEADER,
@@ -209,7 +210,7 @@ class TestRunExperiment:
         assert record_tuples(spec, records) == reference_records(spec)
         assert not any(rec.failed for rec in records)
 
-    def test_infeasible_cell_between_feasible_cells(self):
+    def test_infeasible_cell_between_feasible_cells(self, monkeypatch):
         # BFS at n = 30 needs C(30, 15) sets, over its cap; the Torrent and OLS cells before and
         # after it, and BFS at n = 8, still draw their own substreams
         spec = small_spec(
@@ -217,8 +218,14 @@ class TestRunExperiment:
             methods=tuple(DecorConfig(method=m, a=0.5, bfs_cap=1000) for m in Method),
             replicates=2,
         )
+        drawn = []
+        monkeypatch.setattr(
+            bench, "generate", lambda sim, rng: drawn.append(sim.n) or generate(sim, rng=rng)
+        )
         _, records = run_experiment(spec)
         assert {(rec.n, rec.method) for rec in records if rec.failed} == {(30, "DecoR-BFS")}
+        # the infeasible cell is decided once: none of its replicates draws
+        assert sorted(drawn) == [8] * 6 + [30] * 4
         assert record_tuples(spec, records) == reference_records(spec)
 
     def test_rekeyed_generator_draws_a_new_generators_stream(self):

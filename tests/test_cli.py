@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -738,6 +739,21 @@ CSV_CASES = {
     "nul after a cell": "t,x_1,y\n0.1,1.0\x00,2.0\n",
     # the csv module rejects a field longer than its limit, also one that spans lines
     "quoted cell longer than the field limit": 't,x_1,y\n0.1,"' + "\n" * 140_000 + '1.0",2.0\n',
+    # the header ends at its first line break, whichever it is, and the body may end its
+    # lines another way
+    "header ended by lf, body by crlf": "t,x_1,y\n0.1,1.0,2.0\r\n0.2,1.5,3.0\r\n",
+    "header ended by crlf, body by lf": "t,x_1,y\r\n0.1,1.0,2.0\n0.2,1.5,3.0\n",
+    "header ended by cr, body by lf": "t,x_1,y\r0.1,1.0,2.0\n0.2,1.5,3.0\n",
+    "header ended by crlf, then a lone cr": "t,x_1,y\r\n0.1,1.0,2.0\r0.2,1.5,3.0\n",
+    "no line break after the header": "t,x_1,y",
+    "header only, crlf": "t,x_1,y\r\n",
+    "header only, cr": "t,x_1,y\r",
+    "blank line before the header": "\nt,x_1,y\n0.1,1.0,2.0\n",
+    "file separator after the header": "t,x_1,y\x1c\n0.1,1.0,2.0\n",
+    "quoted header cell": 't,"x_1",y\n0.1,1.0,2.0\n0.2,1.5,3.0\n',
+    "quoted header cell spanning lines": '"t\n",x_1,y\n0.1,1.0,2.0\n0.2,1.5,3.0\n',
+    "misnamed header cell spanning lines": 't,"x_\r\n1",y\r\n0.1,1.0,2.0\r\n',
+    "byte-order mark before a cr-ended header": "\ufefft,x_1,y\r0.1,1.0,2.0\r0.2,1.5,3.0\r",
 }
 
 
@@ -837,16 +853,44 @@ class TestReadSeriesCsv:
                 mismatched.append(text)
         assert mismatched == []
 
-    def test_cr_ended_body_is_parsed_by_numpy(self):
-        from deconfound.cli import _numpy_table
+    def test_cr_ended_body_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+        from deconfound import cli
 
+        tables = []
+        numpy_table = cli._numpy_table
+        monkeypatch.setattr(
+            cli, "_numpy_table", lambda *args: tables.append(numpy_table(*args)) or tables[-1]
+        )
         rows = [[0.1, 1.0, 2.0], [0.2, 1.5, 3.0], [0.3, 2.0, 4.0]]
-        for end in ("\r", "\r\n", "\n"):
-            body = end.join(",".join(map(repr, row)) for row in rows) + end * 2
-            assert _numpy_table(body, 3).tolist() == rows
-        assert _numpy_table("0.1,1.0,2.0\r0.2,1.5,3.0\r\n0.3,2.0,4.0", 3).tolist() == rows
-        # a quoted cell may hold a CR, so a quoted body is not translated: numpy rejects it
-        assert _numpy_table('0.1,"1.0",2.0\r0.2,1.5,3.0\r', 3) is None
+        lines = ["t,x_1,y", *(",".join(map(repr, row)) for row in rows)]
+        texts = [end.join(lines) + end * 2 for end in ("\r", "\r\n", "\n")]
+        texts.append("t,x_1,y\r0.1,1.0,2.0\r0.2,1.5,3.0\r\n0.3,2.0,4.0")
+        # a quoted body goes to numpy whole, since a quoted cell may hold a line break, and so
+        # it is not translated either: numpy rejects its CRs
+        texts.append('t,x_1,y\n0.1,"1.0",2.0\n0.2,1.5,3.0\n0.3,2.0,4.0\n')
+        texts.append('t,x_1,y\r0.1,"1.0",2.0\r0.2,1.5,3.0\r0.3,2.0,4.0\r')
+        path = tmp_path / "data.csv"
+        for text in texts:
+            path.write_bytes(text.encode("utf-8"))
+            _, x, y = cli.read_series_csv(path)
+            assert np.column_stack([x, y]).tolist() == [row[1:] for row in rows]
+        assert [None if table is None else table.tolist() for table in tables] == [rows] * 5 + [None]
+
+    def test_peak_memory_is_bounded_by_the_file_size(self, tmp_path):
+        # the text and its lines, alive together for a moment, are 3x the file; the text kept
+        # alive while numpy parses the lines would be 3.5x, and two StringIO copies of it, at
+        # 4 bytes a character, 9.5x
+        from deconfound.cli import read_series_csv
+
+        path = tmp_path / "data.csv"
+        path.write_text("t,x_1,y\n" + _plain_rows(2**16), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            read_series_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * path.stat().st_size
 
     def test_csv_module_error_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
