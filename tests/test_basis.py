@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from deconfound import basis as basis_module
 from deconfound import (
     BasisKind,
     BasisMatrix,
@@ -20,6 +21,8 @@ from deconfound import (
     inverse_transform,
     transform,
 )
+
+EPS = np.finfo(float).eps
 
 
 def naive_transform(series, basis):
@@ -217,7 +220,8 @@ class TestFastTransforms:
 
     @pytest.mark.parametrize(
         "kind, n",
-        [(BasisKind.COSINE, n) for n in [*range(250, 263), 300, 511, 512, 513, 1000, 1023, 1024]]
+        [(BasisKind.COSINE, n)
+         for n in [*range(250, 263), 300, 511, 512, 513, 1000, 1009, 1023, 1024, 1031]]
         + [(BasisKind.HAAR, n) for n in (512, 1024, 2048)],
     )
     def test_parity_with_dense_product(self, kind, n):
@@ -229,6 +233,42 @@ class TestFastTransforms:
             for fast, dense in [(transform(v, b), m.T @ v / n), (inverse_transform(v, b), m @ v)]:
                 assert fast.shape == dense.shape
                 assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", [257, 1000, 1009, 2**15])
+    def test_cosine_kernels_match_scipy_dct(self, n):
+        # an independent FFT's orthonormal DCT-II / DCT-III, rescaled to this basis
+        import scipy.fft
+
+        v = np.random.default_rng(n).normal(size=(n, 2))
+        b = build_basis(BasisKind.COSINE, n)
+        for fast, oracle in [
+            (transform(v, b), scipy.fft.dct(v, type=2, norm="ortho", axis=0) / np.sqrt(n)),
+            (inverse_transform(v, b), scipy.fft.idct(v, type=2, norm="ortho", axis=0) * np.sqrt(n)),
+        ]:
+            assert np.max(np.abs(fast - oracle)) <= 64 * EPS * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    @pytest.mark.parametrize("n", [1000, 1009])
+    def test_cosine_kernels_scale_exactly_by_a_power_of_two(self, n, exponent):
+        v = np.random.default_rng(n).normal(size=(n, 2))
+        b = build_basis(BasisKind.COSINE, n)
+        m = b.matrix
+        for f, dense in [(transform, m.T @ v / n), (inverse_transform, m @ v)]:
+            plain = f(v, b)
+            assert np.max(np.abs(plain - dense)) <= 1e-12 * np.max(np.abs(dense))
+            assert f(2.0**exponent * v, b).tobytes() == (2.0**exponent * plain).tobytes()
+
+    def test_rotation_cache_keeps_two_sizes(self):
+        assert basis_module._rotations.cache_info().maxsize == 2
+        basis_module._rotations.cache_clear()
+        for n in (300, 301, 302, 300):
+            b = build_basis(BasisKind.COSINE, n)
+            v = np.random.default_rng(n).normal(size=n)
+            for f, dense in [(transform, b.matrix.T @ v / n), (inverse_transform, b.matrix @ v)]:
+                assert np.max(np.abs(f(v, b) - dense)) <= 1e-12 * np.max(np.abs(dense))
+            assert basis_module._rotations.cache_info().currsize <= 2
+        # 302 evicted 300, so 300 was built again: four misses, and a hit per inverse
+        assert basis_module._rotations.cache_info()[:2] == (4, 4)
 
     def test_kind_given_by_name(self):
         # a kind given by its name is that kind: above 256 points a transform reads the kind

@@ -5,6 +5,7 @@ A single process path is drawn as the confounder of ``generate`` at
 truth's ``u_time``.
 """
 
+import json
 import math
 import os
 import re
@@ -150,18 +151,20 @@ class TestOu:
         )
         assert in_fresh_process(code) == "False True\n"
 
-    def test_scipy_fft_is_imported_only_for_a_dct(self):
-        # up to n = 256 a cosine transform is a matrix product; above it, a DCT
+    def test_scipy_fft_is_not_imported_by_a_cosine_fit(self, tmp_path):
+        # above n = 256 a cosine transform is an FFT of numpy's, in the library and the CLI
+        data, est = tmp_path / "data.csv", tmp_path / "estimate.json"
         code = (
-            "import sys, numpy as np, deconfound, deconfound.cli\n"
+            "import sys, numpy as np, deconfound, deconfound.cli as cli\n"
             "rng = np.random.default_rng(0)\n"
-            "fit = lambda n: deconfound.decor_fit(rng.normal(size=n), rng.normal(size=n))\n"
-            "fit(64)\n"
-            "before = 'scipy.fft' in sys.modules\n"
-            "fit(512)\n"
-            "print(before, 'scipy.fft' in sys.modules)"
+            "deconfound.decor_fit(rng.normal(size=512), rng.normal(size=512))\n"
+            "fit = 'scipy.fft' in sys.modules\n"
+            f"cli.main(['simulate', '--n', '1000', '--seed', '1', '--out', {str(data)!r}])\n"
+            f"cli.main(['fit', '--input', {str(data)!r}, '--out', {str(est)!r}])\n"
+            "print(fit, 'scipy.fft' in sys.modules, 'numpy.fft' in sys.modules)"
         )
-        assert in_fresh_process(code) == "False True\n"
+        assert in_fresh_process(code).splitlines()[-1] == "False False True"
+        assert len(json.loads(est.read_text())["fitted_time_domain"]) == 1000
 
 
 class TestBandLimited:
