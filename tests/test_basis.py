@@ -234,6 +234,23 @@ class TestFastTransforms:
                 assert fast.shape == dense.shape
                 assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
+    @pytest.mark.parametrize("n", [2**k for k in range(1, 13)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_haar_synthesis_matches_the_stacked_pyramid_bit_for_bit(self, n, d):
+        # the kernel writes each level's sums and differences into the even and odd rows of
+        # one array; the pyramid as first written stacked them, with the same arithmetic
+        def stacked(c):
+            path = c[:1]
+            while len(path) < c.shape[0]:
+                half = len(path)
+                detail = c[half : 2 * half] * 2.0 ** ((half.bit_length() - 1) / 2.0)
+                path = np.stack([path + detail, path - detail], axis=1).reshape(2 * half, -1)
+            return path
+
+        c = np.random.default_rng(n + d).normal(size=(n, d))
+        got = basis_module._haar_synthesis(c)
+        assert got.shape == (n, d) and got.tobytes() == stacked(c).tobytes()
+
     @pytest.mark.parametrize("n", [257, 1000, 1009, 2**15])
     def test_cosine_kernels_match_scipy_dct(self, n):
         # an independent FFT's orthonormal DCT-II / DCT-III, rescaled to this basis

@@ -1,9 +1,11 @@
 """End-to-end pipeline: estimation, exclusion reports, deconfounded fits."""
 
+import ast
 import functools
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,3 +490,28 @@ class TestDeconfound:
         assert est.excluded_frequencies.dtype == excluded.dtype
         assert est.excluded_frequencies.tobytes() == excluded.tobytes()
         assert est.r_squared.hex() == (1.0 - ssr / sst).hex()
+
+    @pytest.mark.parametrize(
+        "n, method",
+        [(16, m) for m in ALL_METHODS] + [(1000, Method.TORRENT), (1000, Method.OLS_BASELINE)],
+    )
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_y_gives_no_negative_zero(self, d, n, method):
+        # y = 0 fits beta = 0; at d = 1 the lstsq of OLS and BFS gives -0.0 on this draw, and
+        # x times a zero beta entrywise is -0.0 wherever x < 0.  A product that starts from
+        # +0.0, as BLAS's and matmul's do, writes +0.0 there, and so must the report.
+        x, _, _ = generate(SimConfig(n=n, d=d, seed=1))
+        est = decor_fit(x, np.zeros(n), DecorConfig(method=method))
+        assert not np.signbit(est.fitted_time_domain).any()
+        assert not np.signbit(est.residuals_time_domain).any()
+
+
+def test_no_module_multiplies_arrays_with_the_matmul_operator():
+    # every array product in the package goes through np.dot, which hands a one-column
+    # design to BLAS, where matmul runs its own slower loop with the same bits
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "deconfound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno))
+    assert not found, "use np.dot, not @, at " + ", ".join(f"{f}:{line}" for f, line in sorted(found))

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_trajectory_writes_median_and_quartiles_per_metric(tmp_path):
     cmd = [sys.executable, str(ROOT / "tools" / "bench_trajectory.py"), "--tag", "tiny",
            "--seeds", "2", "--scale", "tiny", "--seconds", "0.1", "--workloads", "table1",
-           "--cold-n", "--out", str(tmp_path)]
+           "--cold", "--out", str(tmp_path)]
     out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     record = json.loads((tmp_path / "BENCH_tiny.json").read_text(encoding="utf-8"))

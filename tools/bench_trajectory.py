@@ -7,12 +7,14 @@ Usage, from the root of a checkout:
 For each workload and seed this runs ``perfbench/run.py --trace 0`` and keeps
 the end-to-end metrics of its last-line JSON; one ``--trace 1`` run per
 workload, at the first seed, gives the per-layer split.  It then times cold
-CLI fits, which ``run.py`` cannot see because it runs in one process: each is
-``python -m deconfound.cli fit`` in a fresh process on a simulated data CSV of
-n rows, 3 times, with the child's wall time and its max RSS from ``wait4``.
+CLI commands, which ``run.py`` cannot see because it runs in one process: each
+``COLD`` entry is one ``python -m deconfound.cli`` command in a fresh process,
+3 times, with the child's wall time and its max RSS from ``wait4``.  A ``fit``
+or ``deconfound`` entry reads a data CSV of n rows simulated at seed 1; an
+``experiment`` entry runs one spec of ``specs/``.
 
 The file holds, per workload, the median and quartiles over seeds of every
-end-to-end metric, the per-layer values, and, per cold fit, the median and
+end-to-end metric, the per-layer values, and, per cold entry, the median and
 quartiles of wall time and max RSS; with the git rev, core count, BLAS and the
 Python, numpy and scipy versions that ``run.py`` reports.  The files are
 evidence for CHANGES.md, not gates.
@@ -20,7 +22,7 @@ evidence for CHANGES.md, not gates.
 The checkout measured is the one that holds this script; to measure another
 commit, copy the script into its checkout and point ``--out`` back here.
 ``--scale tiny`` and ``--seconds`` pass through to ``run.py``; ``--workloads``
-picks a subset and ``--cold-n`` the cold sizes (none with ``--cold-n`` alone).
+picks a subset and ``--cold`` the cold entries (none with ``--cold`` alone).
 """
 
 from __future__ import annotations
@@ -38,6 +40,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("table1", "sweep_n1000", "fit_varied_n", "haar_d2")
 COLD_RUNS = 3
+# entry name: the deconfound.cli command and its data size n or its spec name
+COLD = {
+    "cli_fit_n1000": ("fit", 1000),
+    "cli_fit_n1048576": ("fit", 2**20),
+    "cli_deconfound_n1048576": ("deconfound", 2**20),
+    "cli_experiment_table1": ("experiment", "table1"),
+    "cli_experiment_criterion2_iterations": ("experiment", "criterion2_iterations"),
+}
 # run.py's settings, so that cold fits are measured as the workloads are
 CHILD_ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "NUMPY_MADVISE_HUGEPAGE": "0",
@@ -62,7 +72,7 @@ def parse_args(argv=None):
     p.add_argument("--seconds", type=float, default=15.0)
     p.add_argument("--scale", choices=("full", "tiny"), default="full")
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    p.add_argument("--cold-n", type=int, nargs="*", default=[1000, 2**20])
+    p.add_argument("--cold", nargs="*", choices=COLD, default=list(COLD))
     p.add_argument("--out", type=Path, default=ROOT)
     return p.parse_args(argv)
 
@@ -109,9 +119,9 @@ def workload_entry(workload: str, args) -> tuple[dict, dict]:
     }, env
 
 
-def cold_fit(data: Path, out: Path) -> tuple[float, float]:
-    """Wall seconds and max RSS in MiB of one ``deconfound fit`` in a fresh process."""
-    cmd = [sys.executable, "-m", "deconfound.cli", "fit", "--input", str(data), "--out", str(out)]
+def cold_run(args: list[str]) -> tuple[float, float]:
+    """Wall seconds and max RSS in MiB of one ``deconfound.cli`` command in a fresh process."""
+    cmd = [sys.executable, "-m", "deconfound.cli", *args]
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         child = subprocess.Popen(cmd, env=CHILD_ENV, stdout=subprocess.DEVNULL, stderr=err)
@@ -120,25 +130,33 @@ def cold_fit(data: Path, out: Path) -> tuple[float, float]:
         child.returncode = os.waitstatus_to_exitcode(status)
         if child.returncode != 0:
             err.seek(0)
-            raise RuntimeError(f"fit on {data} exited {child.returncode}:\n{err.read().decode()}")
+            raise RuntimeError(f"{' '.join(args)} exited {child.returncode}:\n{err.read().decode()}")
     return wall, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
 
 
-def cold_entries(sizes: list[int]) -> dict:
+def cold_entries(names: list[str]) -> dict:
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for n in sizes:
-            data = Path(tmp) / f"data_{n}.csv"
-            subprocess.run([sys.executable, "-m", "deconfound.cli", "simulate", "--n", str(n),
-                            "--seed", "1", "--out", str(data)],
-                           env=CHILD_ENV, check=True, stdout=subprocess.DEVNULL)
-            runs = [cold_fit(data, Path(tmp) / "estimate.json") for _ in range(COLD_RUNS)]
-            entries[f"cli_fit_n{n}"] = {
-                "n": n,
+        out = str(Path(tmp) / "out")
+        for name in names:
+            command, arg = COLD[name]
+            if command == "experiment":
+                args, key = ["--spec", str(ROOT / "specs" / f"{arg}.json")], "spec"
+            else:  # a data CSV of n rows, simulated once per n
+                data = Path(tmp) / f"data_{arg}.csv"
+                if not data.exists():
+                    subprocess.run([sys.executable, "-m", "deconfound.cli", "simulate", "--n",
+                                    str(arg), "--seed", "1", "--out", str(data)],
+                                   env=CHILD_ENV, check=True, stdout=subprocess.DEVNULL)
+                args, key = ["--input", str(data)], "n"
+            runs = [cold_run([command, *args, "--out", out]) for _ in range(COLD_RUNS)]
+            entries[name] = {
+                "command": command,
+                key: arg,
                 "wall_s": spread([wall for wall, _ in runs]),
                 "max_rss_mib": spread([rss for _, rss in runs]),
             }
-            print(f"cold fit n = {n}: " + ", ".join(f"{w:.3f} s {r:.1f} MiB" for w, r in runs),
+            print(f"cold {name}: " + ", ".join(f"{w:.3f} s {r:.1f} MiB" for w, r in runs),
                   file=sys.stderr)
     return entries
 
@@ -162,7 +180,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "scale": args.scale,
         "workloads": workloads,
-        "cold": cold_entries(args.cold_n),
+        "cold": cold_entries(args.cold),
     }
     path = args.out / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
