@@ -16,8 +16,8 @@ Data CSV format: header ``t,x_1,...,x_d,y`` with d >= 1 (the ``t`` column is
 optional on input; row order defines the sample grid), comma separated, decimal
 points, UTF-8.  Lines end in LF, CRLF or CR; blank lines are skipped; cells may
 be quoted or padded with whitespace.  Each cell is read as Python's ``float()``
-reads it: numpy parses the cells, and where it rejects the file the csv module
-reads it again and names the first bad row.
+reads it: numpy parses the file's lines, and where it rejects them or might read
+them otherwise the csv module reads the file row by row and names the first bad row.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
 import json
 import sys
 import typing
@@ -72,32 +71,48 @@ def _read_text(path, what: str = "") -> str:
 def read_series_csv(path):
     """Read a ``t,x_1..x_d,y`` CSV; returns ``(t, x, y)`` with ``t`` possibly None.
 
-    numpy parses the data rows in one call.  A body it rejects, or one it might
-    read unlike the csv module and ``float()``, is read again row by row, which
-    gives the same arrays or names the first bad row.  A text with no quote is
-    split into lines once and then dropped, so the peak stays near 3x the file.
+    The text is split into lines once and then dropped, and numpy parses the data rows
+    in one call, so the peak stays near 3x the file.  A body it rejects, or one it might
+    read unlike the csv module and ``float()``, is read again from the file row by row,
+    which gives the same arrays or names the first bad row.
     """
     text = _read_text(path)
     if not text:
         raise InputFormatError(f"{path}: empty file, expected a header row")
-    numpy_safe = not any(c in text for c in _NOT_FLOAT_SPACE)
-    if '"' in text:  # a quoted cell may hold a line break, so the csv module ends the header
-        stream = io.StringIO(text, newline="")
-        header = next(csv.reader(stream))
-        lines = [stream.read()]
-        del stream
-    else:
-        # numpy reads CRLF but rejects a lone CR.  Where the first CR is lone, each CRLF and CR
-        # becomes LF, as the csv module ends lines there.  The header ends at the first LF.
-        cr = text.find("\r")
-        if cr >= 0 and text[cr + 1 : cr + 2] != "\n":
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        header = next(csv.reader([lines.pop(0)]))
+    # numpy reads CRLF but rejects a lone CR.  Where the first CR is lone, each CRLF and CR
+    # becomes LF, as the csv module ends lines there.
+    cr = text.find("\r")
+    if cr >= 0 and text[cr + 1 : cr + 2] != "\n":
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    # a quoted cell that holds a line break leaves an odd number of quotes on a line, and the
+    # csv module rejects a cell longer than its field limit, where numpy has no limit
+    numpy_safe = (
+        not any(c in text for c in _NOT_FLOAT_SPACE)
+        and not ('"' in text and any(line.count('"') % 2 for line in lines))
+        and max(map(len, lines)) <= csv.field_size_limit()
+    )
     del text  # the lines are the one copy of the body from here on
-    header = [h.strip() for h in header]
-    has_t = bool(header) and header[0] == "t"
-    body = header[1:] if has_t else header
+    table = None
+    if numpy_safe:
+        header = _checked_header(path, next(csv.reader([lines.pop(0)])))
+        table = _numpy_table(lines, len(header))
+    del lines
+    if table is None:
+        header, table = _read_rows(path)
+    has_t = header[0] == "t"
+    t = table[:, 0] if has_t else None
+    return t, table[:, has_t:-1], table[:, -1]
+
+
+# numpy strips these around a number as whitespace, where float() rejects them
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _checked_header(path, cells):
+    """The header cells, stripped, if they read ``t,x_1..x_d,y`` or ``x_1..x_d,y``."""
+    header = [h.strip() for h in cells]
+    body = header[1:] if header[:1] == ["t"] else header
     if len(body) < 2 or body[-1] != "y":
         raise InputFormatError(
             f"{path}: header must be t,x_1..x_d,y or x_1..x_d,y, got {','.join(header)}"
@@ -109,60 +124,44 @@ def read_series_csv(path):
             f"{path}: covariate columns must be named {','.join(expected)}, "
             f"got {','.join(x_names)}"
         )
-    if not any(line.strip("\r\n") for line in lines):  # loadtxt warns on a body with no rows
-        raise InputFormatError(f"{path}: no data rows")
-    table = _numpy_table(lines, len(header)) if numpy_safe else None
-    if table is None:
-        rows = list(csv.reader(io.StringIO("\n".join(lines), newline="")))
-        try:
-            table = np.array([row for row in rows if row], dtype=float)
-        except ValueError:
-            _raise_first_bad_cell(path, header, rows)
-        if table.shape[1] != len(header):
-            _raise_first_bad_cell(path, header, rows)
-    t = table[:, 0] if has_t else None
-    return t, table[:, has_t:-1], table[:, -1]
-
-
-# numpy strips these around a number as whitespace, where float() rejects them
-_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+    return header
 
 
 def _numpy_table(lines, width):
-    """The rows of ``lines`` as numpy parses them, or None where the row-by-row read may differ.
-
-    ``lines`` is the body split on LF, or one item that holds a body with quotes.
-    """
-    # the csv module rejects a cell longer than its field limit; numpy has no limit.  An
-    # unquoted cell lies within one line, while a quoted one may span the item's lines.
-    if max(map(len, lines)) > csv.field_size_limit():
+    """The rows of the body's ``lines`` as numpy parses them, or None where it rejects them."""
+    if not any(line.strip("\r\n") for line in lines):  # loadtxt warns on a body with no rows
         return None
-    # numpy reads a line break in a quoted cell from a file only, not within an item of a list
-    source = lines if len(lines) > 1 else io.StringIO(lines[0])
     try:
-        table = np.loadtxt(source, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError:
         return None
     return table if table.shape[1] == width else None
 
 
-def _raise_first_bad_cell(path, header, rows):
-    """Raise the error of the first bad data row in file order: its field count, then its cells."""
-    for i, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise InputFormatError(
-                f"{path}: row {i}: expected {len(header)} fields, got {len(row)}"
-            )
-        for name, value in zip(header, row):
-            try:
-                float(value)
-            except ValueError:
+def _read_rows(path):
+    """The header and the table of the file as the csv module and ``float()`` read them, or
+    the error of the first bad data row in file order: its field count, then its cells."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # drops the mark _read_text drops
+        reader = csv.reader(fh)
+        header = _checked_header(path, next(reader))
+        cells = []
+        for i, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
                 raise InputFormatError(
-                    f"{path}: row {i}, column {name}: cannot parse {value!r} as a number"
-                ) from None
-    raise InputFormatError(f"{path}: cannot read the data rows as a table of numbers")
+                    f"{path}: row {i}: expected {len(header)} fields, got {len(row)}"
+                )
+            for name, value in zip(header, row):
+                try:
+                    cells.append(float(value))
+                except ValueError:
+                    raise InputFormatError(
+                        f"{path}: row {i}, column {name}: cannot parse {value!r} as a number"
+                    ) from None
+    if not cells:
+        raise InputFormatError(f"{path}: no data rows")
+    return header, np.array(cells).reshape(-1, len(header))
 
 
 def write_series_csv(path, t, x, y) -> None:

@@ -85,7 +85,7 @@ class DecorEstimate(robust.RobustFit):
         undefined R^2 (``-inf``, for a constant y that the fit misses) is ``None``."""
         return {
             "schema_version": SCHEMA_VERSION,
-            "beta": np.atleast_1d(self.beta).astype(float).tolist(),
+            "beta": (np.atleast_1d(self.beta).astype(float) + 0.0).tolist(),  # -0.0 + 0.0 is 0.0
             "excluded_frequencies": self.excluded_frequencies.tolist(),
             "inliers": self.inliers.tolist(),
             "iterations": int(self.iterations),

@@ -290,6 +290,20 @@ class TestDeconfound:
         assert json.loads(Path(f"{prefix}_summary.json").read_text())["n_excluded"] == len(ks)
         assert np.mean(np.array(ks) <= n // 4) >= 0.7
 
+    @pytest.mark.parametrize("method", ["olsbaseline", "bfs"])
+    def test_zero_response_writes_no_negative_zero_beta(self, tmp_path, method):
+        # lstsq gives the library's beta as -0.0 on this draw, and the library keeps its bytes
+        n = 16
+        x, _, _ = generate(SimConfig(n=n, seed=1))
+        data = tmp_path / "zero.csv"
+        write_series_csv(data, np.arange(1, n + 1) / n, x, np.zeros(n))
+        out, prefix = tmp_path / "est.json", tmp_path / "report"
+        assert run_cli("fit", "--input", data, "--method", method, "--out", out) == 0
+        assert run_cli("deconfound", "--input", data, "--method", method, "--out", prefix) == 0
+        for path in (out, Path(f"{prefix}_summary.json")):
+            beta = json.loads(path.read_text())["beta"]
+            assert beta == [0.0] and math.copysign(1.0, beta[0]) == 1.0
+
 
     @pytest.mark.parametrize("horizon", ["0", "-1"])
     def test_nonpositive_horizon_rejected(self, sim_csv, tmp_path, capsys, horizon):
@@ -754,6 +768,12 @@ CSV_CASES = {
     "quoted header cell spanning lines": '"t\n",x_1,y\n0.1,1.0,2.0\n0.2,1.5,3.0\n',
     "misnamed header cell spanning lines": 't,"x_\r\n1",y\r\n0.1,1.0,2.0\r\n',
     "byte-order mark before a cr-ended header": "\ufefft,x_1,y\r0.1,1.0,2.0\r0.2,1.5,3.0\r",
+    "quoted cr-only file": 't,"x_1","y"\r"0.1","1.0","2.0"\r"0.2","1.5","3.0"\r',
+    "quoted crlf file, a lone cr in a quoted cell": 't,x_1,y\r\n0.1,"1.0\r",2.0\r\n0.2,"1.5",3.0\r\n',
+    # the lone CR turns each line end into LF; the error names the cell as the file holds it
+    "quoted cell holding an unparsable cr": 't,x_1,y\n0.1,1.0,2.0\n0.2,"1\r5",3.0\n',
+    "quoted body longer than the field limit, quotes balanced on each line":
+        't,x_1,y\n"0.0",0.0,"1.0"\n' + _plain_rows(2**12),
 }
 
 
@@ -811,6 +831,18 @@ def _read_outcome(reader, path):
     return [None if a is None else (a.shape, a.dtype, a.tobytes()) for a in arrays]
 
 
+def _traced_peak(path):
+    """The peak of the memory ``tracemalloc`` traces while ``read_series_csv`` reads ``path``."""
+    from deconfound.cli import read_series_csv
+
+    tracemalloc.start()
+    try:
+        read_series_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestReadSeriesCsv:
     """``read_series_csv`` returns what the row-by-row reader returned, bit for bit, or its error."""
 
@@ -865,8 +897,7 @@ class TestReadSeriesCsv:
         lines = ["t,x_1,y", *(",".join(map(repr, row)) for row in rows)]
         texts = [end.join(lines) + end * 2 for end in ("\r", "\r\n", "\n")]
         texts.append("t,x_1,y\r0.1,1.0,2.0\r0.2,1.5,3.0\r\n0.3,2.0,4.0")
-        # a quoted body goes to numpy whole, since a quoted cell may hold a line break, and so
-        # it is not translated either: numpy rejects its CRs
+        # quoted cells that hold no line break leave every line's quotes balanced
         texts.append('t,x_1,y\n0.1,"1.0",2.0\n0.2,1.5,3.0\n0.3,2.0,4.0\n')
         texts.append('t,x_1,y\r0.1,"1.0",2.0\r0.2,1.5,3.0\r0.3,2.0,4.0\r')
         path = tmp_path / "data.csv"
@@ -874,23 +905,21 @@ class TestReadSeriesCsv:
             path.write_bytes(text.encode("utf-8"))
             _, x, y = cli.read_series_csv(path)
             assert np.column_stack([x, y]).tolist() == [row[1:] for row in rows]
-        assert [None if table is None else table.tolist() for table in tables] == [rows] * 5 + [None]
+        assert [None if table is None else table.tolist() for table in tables] == [rows] * 6
 
     def test_peak_memory_is_bounded_by_the_file_size(self, tmp_path):
         # the text and its lines, alive together for a moment, are 3x the file; the text kept
         # alive while numpy parses the lines would be 3.5x, and two StringIO copies of it, at
         # 4 bytes a character, 9.5x
-        from deconfound.cli import read_series_csv
-
         path = tmp_path / "data.csv"
         path.write_text("t,x_1,y\n" + _plain_rows(2**16), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            read_series_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.25 * path.stat().st_size
+        assert _traced_peak(path) < 3.25 * path.stat().st_size
+
+    def test_peak_memory_of_a_quoted_file_is_bounded_by_the_file_size(self, tmp_path):
+        # one quoted cell takes the path of a file with none
+        path = tmp_path / "data.csv"
+        path.write_text('t,x_1,y\n0.0,"0.0",1.0\n' + _plain_rows(2**16), encoding="utf-8")
+        assert _traced_peak(path) < 3.25 * path.stat().st_size
 
     def test_csv_module_error_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
