@@ -161,12 +161,11 @@ def _substreams():
 def run_experiment(spec: ExperimentSpec):
     """Run every (n, method) cell; returns ``(rows, records)``.
 
-    An exhaustive-search cell too large for its cap fails every replicate, which
-    is decided once per cell: it draws and fits nothing, and its replicates are
-    counted in ``replicates_failed`` and excluded from the error statistics.
-    The sweep itself never aborts on it.  The call draws every replicate from
-    one generator of its own (``_substreams``), so calls may run in parallel
-    threads.
+    An exhaustive-search cell whose C(n, a) exceeds ``robust.SUBSET_ENUMERATION_CAP`` fails
+    every replicate, which is decided once per cell: it draws and fits nothing, and its
+    replicates are counted in ``replicates_failed`` and excluded from the error statistics.
+    The sweep itself never aborts on it.  The call draws every replicate from one generator
+    of its own (``_substreams``), so calls may run in parallel threads.
     """
     rekey = _substreams()
     labels = method_labels(spec.methods)
@@ -183,9 +182,9 @@ def run_experiment(spec: ExperimentSpec):
             cell_words = _words(spec.seed_base, n, m_index)
             cell: list[ReplicateRecord] = []
             feasible = True
-            if cfg.method is Method.BFS:  # (n, size, cap) alone decides it, so once a cell
+            if cfg.method is Method.BFS:  # (n, size) alone decides it, so once a cell
                 try:
-                    _enumeration_count(n, cfg.a, cfg.bfs_cap)
+                    _enumeration_count(n, cfg.a)
                 except FeasibilityError:
                     feasible = False
             for r in range(spec.replicates):

@@ -316,7 +316,7 @@ _SIM_FIELDS = {
     "band_support": list[int], "coeff_std": float, "ou_eps": dict, "ou_u": dict,
 }
 _OU_FIELDS = {"sigma": float, "drift": float}
-_METHOD_FIELDS = {"method": str, "a": (int, float), "max_iter": int, "bfs_cap": int}
+_METHOD_FIELDS = {"method": str, "a": (int, float), "max_iter": int}
 # the process each process-specific /sim field belongs to
 _PROCESS_OF = {"band_support": "band", "coeff_std": "band", "ou_eps": "ou", "ou_u": "ou"}
 
@@ -439,7 +439,6 @@ def _add_common_fit_flags(p):
         f"number a fraction in (0,1] (1.0 keeps all) (default {DecorConfig.a})",
     )
     p.add_argument("--max-iter", type=int)
-    p.add_argument("--bfs-cap", type=int)
 
 
 @functools.cache

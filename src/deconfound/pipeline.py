@@ -36,11 +36,11 @@ class Method(str, enum.Enum):
 class DecorConfig:
     """Pipeline configuration.
 
-    ``a`` is the robust threshold: the number of frequencies treated as
-    unconfounded, given as an absolute count or as a fraction of n (converted
-    as ``ceil(a * n)``) by ``robust.resolve_count``'s rule, which is checked
-    here, so whatever that rule rejects is rejected at construction.  For
-    the exhaustive method it is the candidate-set size.  Defaults follow the
+    ``a`` is the robust threshold: the number of frequencies treated as unconfounded, given
+    as an absolute count or as a fraction of n (converted as ``ceil(a * n)``) by
+    ``robust.resolve_count``'s rule, which is checked here, so whatever that rule rejects is
+    rejected at construction.  For the exhaustive method it is the candidate-set size, and
+    C(n, a) may not exceed ``robust.SUBSET_ENUMERATION_CAP``.  Defaults follow the
     benchmark setup: cosine basis, iterative hard thresholding, a = 0.7.
     """
 
@@ -48,7 +48,6 @@ class DecorConfig:
     method: Method = Method.TORRENT
     a: float | int = 0.7
     max_iter: int = 100
-    bfs_cap: int = robust.SUBSET_ENUMERATION_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "basis_kind", BasisKind(self.basis_kind))
@@ -59,8 +58,7 @@ class DecorConfig:
             raise ValueError(
                 f"a must be a fraction in (0,1] or a positive count, got {self.a!r}"
             ) from None
-        for name in "max_iter", "bfs_cap":
-            object.__setattr__(self, name, check_count(name, getattr(self, name)))
+        object.__setattr__(self, "max_iter", check_count("max_iter", self.max_iter))
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def decor_fit(
     ------
     FeasibilityError
         If the exhaustive method would need more candidate sets than
-        ``config.bfs_cap``.
+        ``robust.SUBSET_ENUMERATION_CAP``.
     ConfigurationError
         Propagated from basis construction (e.g. Haar with n not a power of
         two).
@@ -156,7 +154,7 @@ def decor_fit(
         fit = robust.torrent(problem, config.a, max_iter=config.max_iter)
     elif method is Method.BFS:
         size = robust.resolve_count(config.a, n)
-        sets = robust.candidate_sets_all_of_size(n, size, cap=config.bfs_cap)
+        sets = robust.candidate_sets_all_of_size(n, size)
         fit = robust.bfs(problem, sets)
     else:
         fit = robust._fit_result(problem, robust.ols(problem), "OLS")

@@ -335,26 +335,24 @@ def _subsets(n: int, size: int, chunk: int):
         yield sets
 
 
-def candidate_sets_all_of_size(
-    n: int, size: int, cap: int = SUBSET_ENUMERATION_CAP
-) -> np.ndarray:
+def candidate_sets_all_of_size(n: int, size: int) -> np.ndarray:
     """All subsets of {1, ..., n} of the given size, in lexicographic order.
 
     Returns a read-only ``(C(n, size), size)`` integer array, one set per row.
-    ``n``, ``size`` and ``cap`` are counts (``check_count``).  Sets that the memo rule admits
+    ``n`` and ``size`` are counts (``check_count``).  Sets that the memo rule admits
     (``_memo_entry``) come from the memo: a repeated request returns the same array while
     it is among the last 16 used; ``bfs`` screens that array with its memoised mask.
 
     Raises
     ------
     FeasibilityError
-        If ``C(n, size)`` exceeds ``cap``; exhaustive search is hopeless then
-        and an iterative method (torrent) should be used instead.
+        If ``C(n, size)`` exceeds ``SUBSET_ENUMERATION_CAP``; exhaustive search is hopeless
+        then and an iterative method (torrent) should be used instead.
     """
     n, size = check_count("n", n), check_count("size", size)
     if size > n:
         raise ValueError(f"size must lie in 1..{n}, got {size}")
-    count = _enumeration_count(n, size, cap)
+    count = _enumeration_count(n, size)
     entry = _memo_entry(n, size, count)
     return entry[0] if entry else next(_subsets(n, size, count))
 
@@ -373,10 +371,10 @@ def _enumeration(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return frozen(sets), frozen(_row_mask(sets, n))
 
 
-def _enumeration_count(n: int, size: int, cap) -> int:
-    """C(n, size), or ``FeasibilityError`` above ``cap`` (a count): the one enumeration-cap rule."""
-    cap = check_count("cap", cap)
-    count = math.comb(n, size)
+def _enumeration_count(n: int, size: int) -> int:
+    """C(n, size), or ``FeasibilityError`` above ``SUBSET_ENUMERATION_CAP``, read at call time:
+    the one enumeration-cap rule, of every exhaustive search and of ``eta_condition``."""
+    count, cap = math.comb(n, size), SUBSET_ENUMERATION_CAP
     if count > cap:
         raise FeasibilityError(
             f"C({n},{size}) = {count} subsets exceeds the cap of {cap}; too many to enumerate"
@@ -544,7 +542,7 @@ def eta_condition(problem: RegressionProblem, a: int, inliers: Sequence[int]) ->
     """
     n, d = problem.n, problem.d
     a_count = resolve_count(a, n)
-    _enumeration_count(n, a_count, SUBSET_ENUMERATION_CAP)
+    _enumeration_count(n, a_count)
     is_inlier = np.zeros(n, dtype=bool)
     is_inlier[_index_sets(inliers, "inlier", n=n) - 1] = True
     # X_S^T X_S and X_V^T X_V are sums of x_k x_k^T over the rows of S and of V = S xor I,

@@ -158,7 +158,7 @@ class TestRunExperiment:
     def test_infeasible_cells_counted_not_fatal(self):
         spec = small_spec(
             n_grid=(30,),
-            methods=(DecorConfig(method=Method.BFS, a=0.5, bfs_cap=1000),),
+            methods=(DecorConfig(method=Method.BFS, a=0.5),),
             replicates=3,
         )
         rows, recs = run_experiment(spec)
@@ -211,11 +211,11 @@ class TestRunExperiment:
         assert not any(rec.failed for rec in records)
 
     def test_infeasible_cell_between_feasible_cells(self, monkeypatch):
-        # BFS at n = 30 needs C(30, 15) sets, over its cap; the Torrent and OLS cells before and
+        # BFS at n = 30 needs C(30, 15) sets, over the cap; the Torrent and OLS cells before and
         # after it, and BFS at n = 8, still draw their own substreams
         spec = small_spec(
             n_grid=(8, 30),
-            methods=tuple(DecorConfig(method=m, a=0.5, bfs_cap=1000) for m in Method),
+            methods=tuple(DecorConfig(method=m, a=0.5) for m in Method),
             replicates=2,
         )
         drawn = []
@@ -361,9 +361,9 @@ class TestCsvOutput:
                 )
             return text
 
-        # a BFS cell over its cap fails every replicate: NaN errors and failed = 1
-        methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5, bfs_cap=10))
-        rows, recs = run_experiment(small_spec(methods=methods, replicates=3))
+        # a BFS cell over the cap fails every replicate: NaN errors and failed = 1
+        methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5))
+        rows, recs = run_experiment(small_spec(n_grid=(8, 30), methods=methods, replicates=3))
         assert any(r.failed for r in recs) and not all(r.failed for r in recs)
         write_rows(tmp_path / "rows.csv", RESULT_CSV_HEADER, rows)
         write_rows(tmp_path / "recs.csv", RECORD_CSV_HEADER, recs)
@@ -373,9 +373,9 @@ class TestCsvOutput:
 
 class TestLogging:
     def test_one_info_record_per_cell(self, caplog):
-        # BFS fits C(8, 4) = 70 sets under its cap, not C(16, 8)
-        methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5, bfs_cap=100))
-        spec = small_spec(methods=methods, replicates=3)
+        # BFS fits C(8, 4) = 70 sets under the cap, not C(30, 15)
+        methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5))
+        spec = small_spec(n_grid=(8, 30), methods=methods, replicates=3)
         with caplog.at_level(logging.INFO, logger="deconfound"):
             rows, _ = run_experiment(spec)
         logged = [rec for rec in caplog.records if rec.name.startswith("deconfound")]
@@ -394,8 +394,8 @@ class TestLogging:
         code = (
             "import logging\n"
             "from deconfound import *\n"
-            "methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5, bfs_cap=100))\n"
-            "run_experiment(ExperimentSpec(SimConfig(n=8), (8, 16), methods, replicates=2))\n"
+            "methods = (DecorConfig(), DecorConfig(method=Method.BFS, a=0.5))\n"
+            "run_experiment(ExperimentSpec(SimConfig(n=8), (8, 30), methods, replicates=2))\n"
             "logging.getLogger('deconfound.bench').warning('unseen')\n"
         )
         done = subprocess.run(

@@ -129,9 +129,8 @@ class TestFit:
     def test_bfs_infeasible_exit_code(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         run_cli("simulate", "--n", "30", "--seed", "1", "--out", out)
-        for cap in [], ["--bfs-cap", "7"]:
-            assert run_cli("fit", "--input", out, "--method", "bfs", "--a", "0.5", *cap) == 4
-            assert capsys.readouterr().err.startswith("error: C(")
+        assert run_cli("fit", "--input", out, "--method", "bfs", "--a", "0.5") == 4
+        assert capsys.readouterr().err.startswith("error: C(")
 
     @pytest.mark.parametrize("a, kept", [(1, 1), (1.0, 128), (0.7, 90), (5, 5)])
     def test_threshold_means_what_the_library_means(self, sim_csv, tmp_path, a, kept):
@@ -455,7 +454,6 @@ SPEC_ERRORS = {
     "type method": (_spec(methods=[{"method": 1}]), " /methods/0/method: expected str, got int"),
     "type a": (_method(a="0.7"), " /methods/0/a: expected int/float, got str"),
     "type max_iter": (_method(max_iter=10.0), " /methods/0/max_iter: expected int, got float"),
-    "type bfs_cap": (_method(bfs_cap=True), " /methods/0/bfs_cap: expected int, got bool"),
     "method not an object": (_spec(methods=["torrent"]), " /methods/0: expected an object"),
     "method name": (
         _spec(methods=[{"method": "huber"}]),
@@ -474,6 +472,7 @@ NEW_SPEC_ERRORS = {
     "unknown field": (_spec(replicate=5), " /replicate: unknown field"),
     "unknown sim field": (_sim(sigma_eta=0.5), " /sim/sigma_eta: unknown field"),
     "unknown method field": (_method(alpha=0.5), " /methods/0/alpha: unknown field"),
+    "removed bfs_cap": (_method(bfs_cap=1000), " /methods/0/bfs_cap: unknown field"),
     "unknown ou field": (_ou(ou_u={"drift": -1, "mu": 0}), " /sim/ou_u/mu: unknown field"),
     "ou field with band": (
         _sim(ou_eps={"drift": -1}), " /sim/ou_eps: applies only to process 'ou'"
@@ -596,11 +595,11 @@ class TestConfigDefaults:
         real_fit = cli.decor_fit
         monkeypatch.setattr(cli, "decor_fit", lambda x, y, c: configs.append(c) or real_fit(x, y, c))
         assert run_cli("fit", "--input", sim_csv, "--out", sim_csv.parent / "e.json") == 0
-        assert run_cli("fit", "--input", sim_csv, "--a", "5", "--max-iter", "9", "--bfs-cap", "7",
+        assert run_cli("fit", "--input", sim_csv, "--a", "5", "--max-iter", "9",
                        "--basis", "haar", "--method", "bfs", "--out", sim_csv.parent / "f.json") == 4
         assert configs == [
             DecorConfig(),
-            DecorConfig(basis_kind="haar", method="bfs", a=5, max_iter=9, bfs_cap=7),
+            DecorConfig(basis_kind="haar", method="bfs", a=5, max_iter=9),
         ]
 
     def test_simulate_without_optional_flags(self, tmp_path, monkeypatch):
@@ -632,6 +631,8 @@ class TestUsage:
             ["experiment", "--spec", "s.json", "--out", "o.csv", "--threads", "2"],
             ["simulate", "--n", "8", "--out", "s.csv", "--horizon", "2"],
             ["simulate", "--n", "8", "--out", "s.csv", "--dense-u-noise", "1"],
+            ["fit", "--input", "d.csv", "--bfs-cap", "7"],
+            ["deconfound", "--input", "d.csv", "--out", "r", "--bfs-cap", "7"],
         ],
     )
     def test_removed_flags_are_usage_errors(self, argv):

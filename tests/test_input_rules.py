@@ -375,7 +375,7 @@ def count_spec(**fields):
 
 COUNT_PROBLEM = RegressionProblem(np.arange(8.0), np.arange(8.0) ** 2)
 # each size or count: (its name in the message, its least value, the count as the entry point
-# keeps it, or for torrent the refits it ran, for a cap the entries of the one set it lets through)
+# keeps it, or for torrent the refits it ran)
 COUNTS = {
     "build_basis n": ("n", 1, lambda v: build_basis("cosine", v).n),
     "SimConfig.n": ("n", 1, lambda v: SimConfig(n=v).n),
@@ -385,15 +385,11 @@ COUNTS = {
     "ExperimentSpec.replicates": ("replicates", 1, lambda v: count_spec(replicates=v).replicates),
     "ExperimentSpec.seed_base": ("seed_base", 0, lambda v: count_spec(seed_base=v).seed_base),
     "DecorConfig.max_iter": ("max_iter", 1, lambda v: DecorConfig(max_iter=v).max_iter),
-    "DecorConfig.bfs_cap": ("bfs_cap", 1, lambda v: DecorConfig(bfs_cap=v).bfs_cap),
     "torrent max_iter": ("max_iter", 1, lambda v: torrent(COUNT_PROBLEM, 0.7, v).iterations),
     "hard_threshold a": ("a", 1, lambda v: len(hard_threshold(np.arange(9.0), v))),
     "candidate_sets_all_of_size n": ("n", 1, lambda v: len(candidate_sets_all_of_size(v, 1))),
     "candidate_sets_all_of_size size": (
         "size", 1, lambda v: candidate_sets_all_of_size(8, v).shape[1]
-    ),
-    "candidate_sets_all_of_size cap": (
-        "cap", 1, lambda v: candidate_sets_all_of_size(8, 8, cap=v).size
     ),
 }
 # spellings of the count 8

@@ -14,6 +14,7 @@ from deconfound import (
     BasisKind,
     ConfigurationError,
     DecorConfig,
+    ExperimentSpec,
     FeasibilityError,
     Method,
     RegressionProblem,
@@ -23,10 +24,13 @@ from deconfound import (
     build_basis,
     candidate_sets_all_of_size,
     decor_fit,
+    eta_condition,
     generate,
     inverse_transform,
     ols,
     resolve_count,
+    robust,
+    run_experiment,
     torrent,
     transform,
 )
@@ -208,6 +212,23 @@ class TestDecorFit:
         y = rng.normal(size=30)
         with pytest.raises(FeasibilityError):
             decor_fit(x, y, DecorConfig(method=Method.BFS, a=0.5))
+
+    def test_one_cap_read_at_call_time(self, monkeypatch):
+        # every exhaustive path reads robust.SUBSET_ENUMERATION_CAP when called, so one patch
+        # makes C(16, 8) = 12870 infeasible for the sets, the fit, eta_condition and a BFS cell
+        monkeypatch.setattr(robust, "SUBSET_ENUMERATION_CAP", 100)
+        message = "^C\\(16,8\\) = 12870 subsets exceeds the cap of 100; too many to enumerate$"
+        rng = np.random.default_rng(28)
+        x, y = rng.normal(size=(16, 1)), rng.normal(size=16)
+        with pytest.raises(FeasibilityError, match=message):
+            candidate_sets_all_of_size(16, 8)
+        with pytest.raises(FeasibilityError, match=message):
+            decor_fit(x, y, DecorConfig(method=Method.BFS, a=0.5))
+        with pytest.raises(FeasibilityError, match=message):
+            eta_condition(RegressionProblem(x, y), 8, range(1, 9))
+        spec = ExperimentSpec(SimConfig(n=16), (16,), (DecorConfig(method=Method.BFS, a=0.5),), 3)
+        (row,), records = run_experiment(spec)
+        assert row.replicates_failed == 3 and all(rec.failed for rec in records)
 
     def test_haar_requires_power_of_two(self):
         rng = np.random.default_rng(29)

@@ -88,11 +88,11 @@ class TestSameBytesAsBefore:
             assert (tmp_path / "report_excluded.csv").read_bytes() == b"k\n"
 
     def test_experiment_csvs_with_failed_replicates(self, tmp_path):
-        # the BFS cell over its cap at n = 16 fails every replicate: NaN errors and failed = 1
+        # the BFS cell over the cap at n = 30 fails every replicate: NaN errors and failed = 1
         spec = {
             "sim": {"sigma_eta2": 0.5},
-            "n_grid": [8, 16],
-            "methods": [{"method": "torrent"}, {"method": "bfs", "a": 0.5, "bfs_cap": 100}],
+            "n_grid": [8, 30],
+            "methods": [{"method": "torrent"}, {"method": "bfs", "a": 0.5}],
             "replicates": 3,
             "seed_base": 2,
         }
