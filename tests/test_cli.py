@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deconfound import SimConfig, decor_fit, generate
+from deconfound import SimConfig, decor_fit, generate, robust
 from deconfound.cli import load_experiment_spec, main, write_series_csv
 
 REPO_SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -131,6 +131,19 @@ class TestFit:
         run_cli("simulate", "--n", "30", "--seed", "1", "--out", out)
         assert run_cli("fit", "--input", out, "--method", "bfs", "--a", "0.5") == 4
         assert capsys.readouterr().err.startswith("error: C(")
+
+    @pytest.mark.parametrize("cap, code", [(12869, 4), (12870, 0)])
+    @pytest.mark.parametrize("command", ["fit", "deconfound"])
+    def test_bfs_cap_is_inclusive(self, tmp_path, monkeypatch, capsys, command, cap, code):
+        # C(16, 8) = 12870 sets: fitted at a cap of 12870, exit 4 one below it
+        monkeypatch.setattr(robust, "SUBSET_ENUMERATION_CAP", cap)
+        data = tmp_path / "d.csv"
+        assert run_cli("simulate", "--n", "16", "--seed", "1", "--out", data) == 0
+        capsys.readouterr()
+        argv = command, "--input", data, "--method", "bfs", "--a", "8", "--out", tmp_path / "r"
+        assert run_cli(*argv) == code
+        message = "error: C(16,8) = 12870 subsets exceeds the cap of 12869; too many to enumerate\n"
+        assert capsys.readouterr().err == ("" if code == 0 else message)
 
     @pytest.mark.parametrize("a, kept", [(1, 1), (1.0, 128), (0.7, 90), (5, 5)])
     def test_threshold_means_what_the_library_means(self, sim_csv, tmp_path, a, kept):
@@ -367,6 +380,19 @@ class TestExperiment:
         for name in "rows.csv", "rows.csv.replicates.csv":
             marked = tmp_path / name.replace("rows", "marked")
             assert marked.read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("cap, failed", [(12869, 2), (12870, 0)])
+    def test_bfs_cell_over_cap_counted_failed(self, tmp_path, monkeypatch, cap, failed):
+        # C(16, 8) = 12870 sets: a BFS cell runs at a cap of 12870, fails one below it, exit 0
+        monkeypatch.setattr(robust, "SUBSET_ENUMERATION_CAP", cap)
+        spec_path = tmp_path / "spec.json"
+        spec = _spec(n_grid=[16], methods=[{"method": "bfs", "a": 8}], replicates=2)
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "rows.csv"
+        assert run_cli("experiment", "--spec", spec_path, "--out", out) == 0
+        with open(out) as fh:
+            (row,) = csv.DictReader(fh)
+        assert int(row["failed"]) == failed
 
     def test_schema_error_pointer(self, tmp_path, capsys):
         spec_path = tmp_path / "bad.json"

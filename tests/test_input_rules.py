@@ -26,6 +26,7 @@ import pytest
 
 from deconfound import (
     BandLimitedProcess,
+    BasisMatrix,
     ConfigurationError,
     DecorConfig,
     ExperimentSpec,
@@ -378,6 +379,7 @@ COUNT_PROBLEM = RegressionProblem(np.arange(8.0), np.arange(8.0) ** 2)
 # keeps it, or for torrent the refits it ran)
 COUNTS = {
     "build_basis n": ("n", 1, lambda v: build_basis("cosine", v).n),
+    "BasisMatrix n": ("n", 1, lambda v: BasisMatrix("cosine", v).n),
     "SimConfig.n": ("n", 1, lambda v: SimConfig(n=v).n),
     "SimConfig.d": ("d", 1, lambda v: SimConfig(n=8, d=v).d),
     "SimConfig.seed": ("seed", 0, lambda v: SimConfig(n=8, seed=v).seed),

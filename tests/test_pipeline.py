@@ -38,6 +38,36 @@ from deconfound import (
 ALL_METHODS = [Method.TORRENT, Method.BFS, Method.OLS_BASELINE]
 
 
+def _refused(call) -> bool:
+    """Whether ``call`` raised the enumeration-cap error for C(16, 8); True or False."""
+    try:
+        call()
+    except FeasibilityError as e:
+        assert str(e).startswith("C(16,8) = 12870 subsets exceeds the cap of ")
+        return True
+    return False
+
+
+def _cell_refused(x, y) -> bool:
+    spec = ExperimentSpec(SimConfig(n=16), (16,), (DecorConfig(method=Method.BFS, a=0.5),), 2)
+    (row,), records = run_experiment(spec)
+    assert row.replicates_failed in (0, 2)
+    return row.replicates_failed == 2
+
+
+# every exhaustive path at n = 16 and a = 8, as whether it refused the C(16, 8) sets
+CAP_PATHS = {
+    "candidate sets": lambda x, y: _refused(lambda: candidate_sets_all_of_size(16, 8)),
+    "BFS fit": lambda x, y: _refused(
+        lambda: decor_fit(x, y, DecorConfig(method=Method.BFS, a=0.5))
+    ),
+    "eta_condition": lambda x, y: _refused(
+        lambda: eta_condition(RegressionProblem(x, y), 8, range(1, 9))
+    ),
+    "BFS cell": _cell_refused,
+}
+
+
 class TestDecorFit:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_clean_instance_recovers_beta(self, method):
@@ -229,6 +259,16 @@ class TestDecorFit:
         spec = ExperimentSpec(SimConfig(n=16), (16,), (DecorConfig(method=Method.BFS, a=0.5),), 3)
         (row,), records = run_experiment(spec)
         assert row.replicates_failed == 3 and all(rec.failed for rec in records)
+
+    @pytest.mark.parametrize("cap, refused", [(12869, True), (12870, False)])
+    @pytest.mark.parametrize("path", CAP_PATHS)
+    def test_cap_is_inclusive(self, monkeypatch, path, cap, refused):
+        # C(16, 8) = 12870 sets are enumerated at a cap of 12870 and refused one below it,
+        # on every exhaustive path alike
+        monkeypatch.setattr(robust, "SUBSET_ENUMERATION_CAP", cap)
+        rng = np.random.default_rng(28)
+        x, y = rng.normal(size=(16, 1)), rng.normal(size=16)
+        assert CAP_PATHS[path](x, y) is refused
 
     def test_haar_requires_power_of_two(self):
         rng = np.random.default_rng(29)
