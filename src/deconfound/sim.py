@@ -61,15 +61,17 @@ class OUProcess:
         Var(zeta) = sigma^2 (1 - phi^2) / (-2 drift), which matches the continuous
         process on the grid exactly (no Euler bias).
         """
-        # only an OU path imports scipy.signal, and scipy.fft with it: about 0.7 s and 73 MiB, once
-        from scipy.signal import lfilter
-
         phi = math.exp(self.drift * (horizon / basis.n))
         stat_var = self.sigma * self.sigma / (-2.0 * self.drift)
         z = rng.normal(0.0, 1.0, (columns, basis.n))  # path by path, n draws each
         z[:, 0] *= math.sqrt(stat_var)
         z[:, 1:] *= math.sqrt(stat_var * (1.0 - phi * phi))
-        return transform(np.ascontiguousarray(lfilter([1.0], [1.0, -phi], z).T), basis)
+        # V_k = zeta_k + phi V_{k-1} from V_{-1} = 0.0 rounds the product, then the sum, as
+        # lfilter([1], [1, -phi], z) does (its b_1 zeta_k term is +-0), so zeta_0 = -0.0 gives +0.0
+        for row in z:
+            v = 0.0
+            row[:] = [v := zeta + phi * v for zeta in row.tolist()]
+        return transform(np.ascontiguousarray(z.T), basis)
 
 
 @dataclass(frozen=True)

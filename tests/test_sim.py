@@ -98,6 +98,17 @@ def in_fresh_process(code: str) -> str:
     ).stdout
 
 
+class FixedDraws:
+    """Stands in for a generator whose ``normal`` draws are the given standard normals."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def normal(self, loc, scale, size):
+        assert (loc, scale, size) == (0.0, 1.0, self.z.shape)
+        return self.z.copy()
+
+
 class TestOu:
     def test_lag_one_autocorrelation(self):
         # exact discretization: corr(V_k, V_{k+1}) = exp(drift * dt); pool
@@ -141,30 +152,66 @@ class TestOu:
         with pytest.raises(ConfigurationError):
             OUProcess(sigma=1.0, drift=0.0)
 
-    def test_scipy_signal_is_imported_only_to_draw_a_path(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 4097])
+    @pytest.mark.parametrize("phi_of_n", ["exp(-50/n)", "exp(-1/n)", "exp(-1e-6)"])
+    def test_recursion_is_lfilter_bit_for_bit(self, monkeypatch, n, phi_of_n):
+        # scipy is a test-only reference here: the path is lfilter([1], [1, -phi], zeta) by
+        # bytes, a -0.0 first sample included, which lfilter's V_{-1} = 0.0 turns into +0.0
+        from scipy.signal import lfilter
+
+        drift = {"exp(-50/n)": -50.0, "exp(-1/n)": -1.0, "exp(-1e-6)": -1e-6 * n}[phi_of_n]
+        phi = math.exp(drift * (1.0 / n))  # dt = horizon / n, as the draw computes it
+        stat_var = 1.0 / (-2.0 * drift)
+        monkeypatch.setattr(sim, "transform", lambda v, basis: v)
+        basis = build_basis(BasisKind.COSINE, n)
+        draws = np.random.default_rng(n)
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            for columns in (1, 2, 3):
+                z = draws.normal(0.0, scale, (columns, n))
+                z[:, 1::7] = 0.0
+                z[:, 3::11] = -0.0
+                z[0, 0] = -0.0
+                zeta = z.copy()
+                zeta[:, 0] *= math.sqrt(stat_var)
+                zeta[:, 1:] *= math.sqrt(stat_var * (1.0 - phi * phi))
+                path = OUProcess(1.0, drift)._coefficients(basis, columns, 1.0, FixedDraws(z))
+                assert path.shape == (n, columns)
+                assert path.tobytes() == lfilter([1.0], [1.0, -phi], zeta).T.tobytes()
+                assert math.copysign(1.0, path[0, 0]) == 1.0
+
+    def test_no_scipy_import_anywhere(self, tmp_path):
+        # a None entry in sys.modules makes every import of scipy, or of any of its modules,
+        # raise ImportError: the package, the OU draw, a cosine fit above n = 256 on numpy.fft
+        # and the CLI commands that read and write files all run without scipy
+        spec = tmp_path / "ou_spec.json"
+        spec.write_text(json.dumps({
+            "schema_version": "1",
+            "sim": {"process": "ou", "ou_eps": {"sigma": 1.0, "drift": -0.8},
+                    "ou_u": {"sigma": 1.0, "drift": -0.5}},
+            "n_grid": [64], "methods": [{"method": "torrent"}], "replicates": 2, "seed_base": 7,
+        }))
+        data, est, report, rows = (str(tmp_path / name) for name in
+                                   ("ou.csv", "estimate.json", "report", "rows.csv"))
         code = (
-            "import sys, deconfound, deconfound.bench, deconfound.cli\n"
-            "before = 'scipy.signal' in sys.modules\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np, deconfound, deconfound.bench, deconfound.cli as cli\n"
             "ou = deconfound.OUProcess()\n"
             "deconfound.generate(deconfound.SimConfig(4, conf_prob=1.0, u_process=ou))\n"
-            "print(before, 'scipy.signal' in sys.modules)"
-        )
-        assert in_fresh_process(code) == "False True\n"
-
-    def test_scipy_fft_is_not_imported_by_a_cosine_fit(self, tmp_path):
-        # above n = 256 a cosine transform is an FFT of numpy's, in the library and the CLI
-        data, est = tmp_path / "data.csv", tmp_path / "estimate.json"
-        code = (
-            "import sys, numpy as np, deconfound, deconfound.cli as cli\n"
             "rng = np.random.default_rng(0)\n"
             "deconfound.decor_fit(rng.normal(size=512), rng.normal(size=512))\n"
-            "fit = 'scipy.fft' in sys.modules\n"
-            f"cli.main(['simulate', '--n', '1000', '--seed', '1', '--out', {str(data)!r}])\n"
-            f"cli.main(['fit', '--input', {str(data)!r}, '--out', {str(est)!r}])\n"
-            "print(fit, 'scipy.fft' in sys.modules, 'numpy.fft' in sys.modules)"
+            "fft = 'numpy.fft' in sys.modules\n"
+            "codes = (\n"
+            f"    cli.main(['simulate', '--process', 'ou', '--n', '1000', '--out', {data!r}]),\n"
+            f"    cli.main(['fit', '--input', {data!r}, '--out', {est!r}]),\n"
+            f"    cli.main(['deconfound', '--input', {data!r}, '--out', {report!r}]),\n"
+            f"    cli.main(['experiment', '--spec', {str(spec)!r}, '--out', {rows!r}]),\n"
+            ")\n"
+            "print(fft, *codes)"
         )
-        assert in_fresh_process(code).splitlines()[-1] == "False False True"
-        assert len(json.loads(est.read_text())["fitted_time_domain"]) == 1000
+        assert in_fresh_process(code).splitlines()[-1] == "True 0 0 0 0"
+        assert len(json.loads(Path(est).read_text())["fitted_time_domain"]) == 1000
+        assert len(Path(rows + ".replicates.csv").read_text().splitlines()) == 3
 
 
 class TestBandLimited:

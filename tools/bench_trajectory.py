@@ -47,6 +47,7 @@ COLD = {
     "cli_deconfound_n1048576": ("deconfound", 2**20),
     "cli_experiment_table1": ("experiment", "table1"),
     "cli_experiment_criterion2_iterations": ("experiment", "criterion2_iterations"),
+    "cli_experiment_criterion3_ou": ("experiment", "criterion3_ou"),
 }
 # run.py's settings, so that cold fits are measured as the workloads are
 CHILD_ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
