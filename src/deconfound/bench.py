@@ -165,7 +165,8 @@ def run_experiment(spec: ExperimentSpec):
     every replicate, which is decided once per cell: it draws and fits nothing, and its
     replicates are counted in ``replicates_failed`` and excluded from the error statistics.
     The sweep itself never aborts on it.  The call draws every replicate from one generator
-    of its own (``_substreams``), so calls may run in parallel threads.
+    of its own (``_substreams``), so calls may run in parallel threads.  It reads only the
+    ``beta`` and ``iterations`` of each fit, so no replicate builds the time-domain report.
     """
     rekey = _substreams()
     labels = method_labels(spec.methods)

@@ -228,7 +228,9 @@ def cmd_simulate(args) -> int:
 
 def _fit_from_args(args):
     _, x, y = read_series_csv(args.input)
-    return decor_fit(x, y, _config(DecorConfig, args)), y
+    est = decor_fit(x, y, _config(DecorConfig, args))
+    est.r_squared  # every command writes the report: build it now, so its inputs go at once
+    return est, y
 
 
 def cmd_fit(args) -> int:

@@ -61,6 +61,9 @@ class DecorConfig:
         object.__setattr__(self, "max_iter", check_count("max_iter", self.max_iter))
 
 
+_REPORT = ("excluded_frequencies", "fitted_time_domain", "residuals_time_domain", "r_squared")
+
+
 @dataclass(frozen=True)
 class DecorEstimate(robust.RobustFit):
     """The robust fit of the basis-domain problem plus its time-domain report.
@@ -70,13 +73,26 @@ class DecorEstimate(robust.RobustFit):
     the robust step treated as confounded; both are 1-based.  ``fitted_time_domain``
     is the deconfounded covariate path times the coefficient estimate, and
     residuals are defined so that fitted + residuals = y exactly.
+
+    The four report names are not dataclass fields: the first read of any of them builds
+    all four, from ``beta``, ``inliers`` and the inputs ``decor_fit`` kept, stores them and
+    drops the inputs, so a fit whose report is never read never pays for it.
     """
 
     method: Method
-    excluded_frequencies: np.ndarray
-    fitted_time_domain: np.ndarray
-    residuals_time_domain: np.ndarray
-    r_squared: float
+
+    def __getattr__(self, name):  # reached only while the report is not yet stored
+        if name not in _REPORT:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state = self.__dict__
+        inputs = state.get("_inputs")
+        if inputs is not None:  # stored before the inputs go, so a thread finding none reads it
+            state.setdefault("_report", _time_domain_report(self, *inputs))
+            state.pop("_inputs", None)
+        elif "_report" not in state:
+            raise AttributeError(f"no {name!r}: only decor_fit's estimates have a report")
+        state.update(zip(_REPORT, state["_report"]))
+        return state[name]
 
     def to_json_dict(self) -> dict:
         """JSON-ready representation (schema_version "1", 1-based index arrays); an
@@ -128,7 +144,9 @@ def decor_fit(
     transformed problem, and returns the coefficient estimate together with
     the excluded-frequency report, deconfounded fitted values, residuals and
     centered R^2: to the bit, fitted = inverse_transform(x_freq with +0.0 on the
-    excluded rows) @ beta, residuals = y - fitted, and ``_r_squared``.
+    excluded rows) @ beta, residuals = y - fitted, and ``_r_squared``.  The report is
+    built when one of its names is first read, from the estimate's own arrays of the
+    transformed x and of y, so later changes to the caller's x and y do not reach it.
 
     Raises
     ------
@@ -159,16 +177,19 @@ def decor_fit(
     else:
         fit = robust._fit_result(problem, robust.ols(problem), "OLS")
 
-    kept = np.zeros(n, dtype=bool)
+    est = DecorEstimate(**{**vars(fit), "method": method})
+    # the transform's own x, not problem's copy: with the copy kept, glibc's heap ended 8 MiB
+    # larger in a cold CLI deconfound at n = 2^20, at the same traced peak
+    est.__dict__["_inputs"] = basis, xy_freq[:, :d], y, y_exponent
+    return est
+
+
+def _time_domain_report(fit, basis, x_freq, y, y_exponent) -> tuple:
+    """``DecorEstimate``'s four report values, in its ``_REPORT`` order, by ``decor_fit``'s
+    definition."""
+    kept = np.zeros(y.shape[0], dtype=bool)
     kept[fit.inliers - 1] = True
     # +0.0, not x * 0, on the excluded rows, so that no -0.0 reaches the report
-    x_clean = inverse_transform(np.where(kept[:, None], problem.x, 0.0), basis)
-    fitted = np.dot(x_clean, fit.beta)
+    fitted = np.dot(inverse_transform(np.where(kept[:, None], x_freq, 0.0), basis), fit.beta)
     residuals = y - fitted
-    return DecorEstimate(
-        **{**vars(fit), "method": method},
-        excluded_frequencies=(~kept).nonzero()[0] + 1,
-        fitted_time_domain=fitted,
-        residuals_time_domain=residuals,
-        r_squared=_r_squared(y, residuals, y_exponent),
-    )
+    return (~kept).nonzero()[0] + 1, fitted, residuals, _r_squared(y, residuals, y_exponent)

@@ -1,10 +1,17 @@
 """End-to-end pipeline: estimation, exclusion reports, deconfounded fits."""
 
 import ast
+import copy
+import dataclasses
 import functools
+import gc
 import json
 import math
+import pickle
+import sys
+import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +35,7 @@ from deconfound import (
     generate,
     inverse_transform,
     ols,
+    pipeline,
     resolve_count,
     robust,
     run_experiment,
@@ -474,6 +482,37 @@ class TestDecorConfig:
         assert config.basis_kind is BasisKind.HAAR and config.method is Method.BFS
 
 
+def report_by_definition(x, y, est, basis_kind):
+    """The time-domain report of ``est`` built from the public pieces, one operation at a time:
+    the transformed x copied and zeroed on the excluded rows, inverse_transform, @ beta,
+    y - fitted, and R^2 from centred sums (np.add.reduce) of y and the residuals, both scaled
+    by 2^-e first, where e is y's exponent when its largest magnitude is above 2^500."""
+    n, d = x.shape
+    basis = build_basis(basis_kind, n)
+    x_clean = transform(np.column_stack([x, y]), basis)[:, :d].copy()
+    excluded = np.setdiff1d(np.arange(1, n + 1), est.inliers)
+    x_clean[excluded - 1] = 0.0
+    fitted = inverse_transform(x_clean, basis) @ est.beta
+    residuals = y - fitted
+    e = math.frexp(np.abs(y).max())[1] if np.abs(y).max() > 2.0**500 else 0
+    sums = []
+    for v in np.ldexp(y, -e), np.ldexp(residuals, -e):
+        centred = v - v.sum() / n
+        sums.append(float(np.add.reduce(centred * centred)))
+    sst, ssr = sums
+    return excluded, fitted, residuals, 1.0 - ssr / sst
+
+
+def assert_report_is(est, report):
+    """``est``'s four report values equal ``report``'s to the bit, and in dtype."""
+    excluded, fitted, residuals, r_squared = report
+    assert est.fitted_time_domain.tobytes() == fitted.tobytes()
+    assert est.residuals_time_domain.tobytes() == residuals.tobytes()
+    assert est.excluded_frequencies.dtype == excluded.dtype
+    assert est.excluded_frequencies.tobytes() == excluded.tobytes()
+    assert est.r_squared.hex() == r_squared.hex()
+
+
 class TestDeconfound:
     def test_json_document_shape(self):
         cfg = SimConfig(n=16, sigma_eta2=1.0, seed=41)
@@ -527,30 +566,10 @@ class TestDeconfound:
     def test_time_domain_report_is_bit_identical_to_its_definition(
         self, d, basis_kind, n, method, scale
     ):
-        # the report built from the public pieces, one operation at a time: the transformed x
-        # copied and zeroed on the excluded rows, inverse_transform, @ beta, y - fitted, and R^2
-        # from centred sums (np.add.reduce) of y and the residuals, both scaled by 2^-e first,
-        # where e is y's exponent when its largest magnitude is above 2^500
         x, y, _ = generate(SimConfig(n=n, d=d, basis_kind=basis_kind, seed=47))
         x, y = x * scale, y * scale
         est = decor_fit(x, y, DecorConfig(basis_kind=basis_kind, method=method))
-        basis = build_basis(basis_kind, n)
-        x_clean = transform(np.column_stack([x, y]), basis)[:, :d].copy()
-        excluded = np.setdiff1d(np.arange(1, n + 1), est.inliers)
-        x_clean[excluded - 1] = 0.0
-        fitted = inverse_transform(x_clean, basis) @ est.beta
-        residuals = y - fitted
-        e = math.frexp(np.abs(y).max())[1] if scale > 1.0 else 0
-        sums = []
-        for v in np.ldexp(y, -e), np.ldexp(residuals, -e):
-            centred = v - v.sum() / n
-            sums.append(float(np.add.reduce(centred * centred)))
-        sst, ssr = sums
-        assert est.fitted_time_domain.tobytes() == fitted.tobytes()
-        assert est.residuals_time_domain.tobytes() == residuals.tobytes()
-        assert est.excluded_frequencies.dtype == excluded.dtype
-        assert est.excluded_frequencies.tobytes() == excluded.tobytes()
-        assert est.r_squared.hex() == (1.0 - ssr / sst).hex()
+        assert_report_is(est, report_by_definition(x, y, est, basis_kind))
 
     @pytest.mark.parametrize(
         "n, method",
@@ -565,6 +584,151 @@ class TestDeconfound:
         est = decor_fit(x, np.zeros(n), DecorConfig(method=method))
         assert not np.signbit(est.fitted_time_domain).any()
         assert not np.signbit(est.residuals_time_domain).any()
+
+
+REPORT_NAMES = ("excluded_frequencies", "fitted_time_domain", "residuals_time_domain", "r_squared")
+
+
+def report_bytes(est) -> list[bytes]:
+    """The four report values of ``est`` as bytes, read in their order."""
+    return [np.asarray(getattr(est, name)).tobytes() for name in REPORT_NAMES]
+
+
+def reachable_arrays(obj) -> list[np.ndarray]:
+    """Every array that ``obj`` references through its instance dict and the dicts, tuples
+    and lists in it, found by ``gc.get_referents``."""
+    arrays, seen, todo = [], set(), gc.get_referents(obj)
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            arrays.append(o)
+        elif isinstance(o, (dict, tuple, list)):
+            todo += gc.get_referents(o)
+    return arrays
+
+
+class TestLazyReport:
+    """``decor_fit`` builds the time-domain report on the first read of one of its names."""
+
+    @pytest.fixture
+    def report_calls(self, monkeypatch):
+        calls = []
+        real = pipeline.inverse_transform
+        monkeypatch.setattr(
+            pipeline, "inverse_transform", lambda *args: calls.append(args) or real(*args)
+        )
+        return calls
+
+    def test_experiments_build_no_report(self, report_calls):
+        methods = (DecorConfig(method=Method.OLS_BASELINE), DecorConfig(),
+                   DecorConfig(method=Method.BFS, a=0.75))
+        _, records = run_experiment(ExperimentSpec(SimConfig(n=16), (12, 16), methods, 3))
+        assert len(records) == 18 and not any(r.failed for r in records)
+        assert report_calls == []
+
+    @pytest.mark.parametrize("first", REPORT_NAMES + ("to_json_dict",))
+    def test_first_read_builds_the_report_once(self, report_calls, first):
+        x, y, _ = generate(SimConfig(n=16, seed=48))
+        est = decor_fit(x, y)
+        assert report_calls == []
+        est.to_json_dict() if first == "to_json_dict" else getattr(est, first)
+        assert len(report_calls) == 1
+        for name in REPORT_NAMES * 2:
+            getattr(est, name)
+        est.to_json_dict()
+        assert len(report_calls) == 1
+
+    @pytest.mark.parametrize(
+        "basis_kind, n, method",
+        [(BasisKind.COSINE, 12, m) for m in ALL_METHODS]
+        + [(BasisKind.HAAR, 512, Method.TORRENT), (BasisKind.HAAR, 512, Method.OLS_BASELINE)],
+    )
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_report_is_that_of_the_arrays_fitted(self, d, basis_kind, n, method):
+        x, y, _ = generate(SimConfig(n=n, d=d, basis_kind=basis_kind, seed=49))
+        config = DecorConfig(basis_kind=basis_kind, method=method)
+        est = decor_fit(x, y, config)
+        report = report_by_definition(x, y, est, basis_kind)
+        x[:] = 7.0
+        y[:] = -3.0
+        assert_report_is(est, report)
+        # the four values are built together, so a change to one returned array reaches no other
+        est = decor_fit(*generate(SimConfig(n=n, d=d, basis_kind=basis_kind, seed=49))[:2], config)
+        est.fitted_time_domain[:] = 1.0
+        assert est.residuals_time_domain.tobytes() == report[2].tobytes()
+        assert est.r_squared.hex() == report[3].hex()
+        assert est.excluded_frequencies.tobytes() == report[0].tobytes()
+
+    def test_first_read_releases_the_inputs(self):
+        x, y, _ = generate(SimConfig(n=64, d=2, seed=50))
+        est = decor_fit(x, y)
+        basis = build_basis(BasisKind.COSINE, 64)
+        x_freq = transform(np.column_stack([x, y]), basis)[:, :2]
+        before = reachable_arrays(est)
+        # the walk sees the transformed design and the copy of y while the estimate holds them
+        assert any(a.tobytes() == x_freq.tobytes() for a in before)
+        assert any(a is not y and a.tobytes() == y.tobytes() for a in before)
+        inputs = [weakref.ref(a) for a in before if a is not est.beta and a is not est.inliers]
+        del before
+        est.r_squared
+        public = [est.beta, est.inliers] + [getattr(est, name) for name in REPORT_NAMES[:3]]
+        assert all(any(a is p for p in public) for a in reachable_arrays(est))
+        assert all(ref() is None for ref in inputs)
+
+    @pytest.mark.parametrize("round_", range(5))
+    def test_threads_reading_a_fresh_estimate_share_one_report(self, round_):
+        x, y, _ = generate(SimConfig(n=1000, seed=51 + round_))
+        est = decor_fit(x, y)
+        barrier = threading.Barrier(8)
+        reads, errors = [], []
+
+        def read(first):
+            try:
+                barrier.wait()
+                getattr(est, first)
+                reads.append([getattr(est, name) for name in REPORT_NAMES])
+            except BaseException as exc:  # re-raised below, in the test's thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(REPORT_NAMES[i % 4],)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the build, not only between reads
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(reads) == 8
+        assert all(a is b for values in reads for a, b in zip(values, reads[0]))
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_copies_give_the_same_report(self, read_first):
+        x, y, _ = generate(SimConfig(n=300, seed=52))
+        est = decor_fit(x, y)
+        if read_first:
+            est.r_squared
+        copies = [copy.copy(est), pickle.loads(pickle.dumps(est)), copy.deepcopy(est)]
+        expected = report_bytes(est)
+        for other in copies:
+            assert report_bytes(other) == expected
+        assert est.r_squared.hex() == report_by_definition(x, y, est, BasisKind.COSINE)[3].hex()
+
+    def test_report_names_are_not_fields(self):
+        x, y, _ = generate(SimConfig(n=16, seed=53))
+        est = decor_fit(x, y)
+        names = [f.name for f in dataclasses.fields(est)]
+        assert names == [f.name for f in dataclasses.fields(RobustFit)]
+        assert list(dataclasses.asdict(est)) == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            est.r_squared = 1.0
+        with pytest.raises(AttributeError, match="no attribute 'r_square'"):
+            est.r_square
 
 
 def test_no_module_multiplies_arrays_with_the_matmul_operator():
